@@ -14,6 +14,7 @@ pinned enumeration order; output never depends on the worker count.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 from .bgraph import BipartiteGraph, EdgeActionGroup, automorphism_group
@@ -166,10 +167,13 @@ def _orbit_census(graph, elems, threads, tau_fixed, first_tau):
         for start, stop in chunk_bounds(total, max(1, min(threads, total)))
         if start < stop
     ]
-    if threads <= 1 or len(jobs) <= 1:
+    # chunking follows ``threads``; the workers are bounded by the cores and
+    # the chunk count, so a large ``threads`` forks no more than can run
+    processes = min(threads, os.cpu_count() or 1, len(jobs))
+    if processes <= 1:
         results = [_census_worker(job) for job in jobs]
     else:
-        with multiprocessing.get_context("fork").Pool(threads) as pool:
+        with multiprocessing.get_context("fork").Pool(processes) as pool:
             results = pool.map(_census_worker, jobs)
     merged = {}
     for part in results:
@@ -197,8 +201,8 @@ def classify(
     ``group`` overrides the edge-action group (a PermGroup on labels); the
     default is the full color-preserving automorphism group.  Budget refuses
     oversized enumerations up front.  ``with_monodromy=False`` leaves the
-    monodromy fields of every record None, which can be orders of magnitude
-    faster when the monodromy groups are gigantic.
+    monodromy fields of every record None and skips the Schreier-Sims
+    builds of the monodromy groups that are not certified giants.
     """
     total = graph.candidate_count()
     if total > budget:

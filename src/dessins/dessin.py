@@ -86,9 +86,8 @@ def monodromy_group(pair):
 def invariants(pair, with_monodromy=True):
     """The invariant bundle of one rotation pair.
 
-    ``with_monodromy=False`` skips the monodromy group entirely (its order
-    can be astronomically large to certify); the corresponding fields come
-    back None.
+    ``with_monodromy=False`` skips the monodromy group entirely; the
+    corresponding fields come back None.
     """
     sigma, tau = pair.sigma, pair.tau
     e = sigma.degree

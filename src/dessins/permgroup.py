@@ -1,36 +1,137 @@
 """Permutation groups with a deterministic base and strong generating set.
 
 Internally elements are 0-based image tables stored as ``bytes`` padded to
-256 entries, so composition is one ``bytes.translate`` call.  Base points
-are always the smallest labels not fixed so far, which makes orders,
+256 entries (``Permutation._table``), so composition is one
+``bytes.translate`` call and every product is again 256 bytes long.  Base
+points are always the smallest labels not fixed so far, which makes orders,
 transversals and element streams reproducible run to run.
+
+``PermGroup.order`` first tries to certify that the group is a giant, the
+alternating or symmetric group on all points, by Jordan's theorem (see
+``_jordan_order``); only groups it does not certify get a Schreier-Sims
+build.
 """
 
 from __future__ import annotations
 
-from .perm import Permutation, _IDENT256
+from math import factorial
+
+from .perm import Permutation, _IDENT256, compose, cycle_type, identity
 
 DEFAULT_ELEMENTS_CAP = 10**6
+
+# the giant certificate tries this many words in the generators, built by
+# product replacement over at least this many slots
+CERTIFICATE_WORDS = 64
+CERTIFICATE_SLOTS = 5
 
 
 class CapExceededError(RuntimeError):
     """Refusal to enumerate a group larger than the requested cap."""
 
 
-def _compose(a, b):
-    """Apply a then b (tables padded to 256)."""
-    return a.translate(b)
-
-
-def _pad(t):
-    return t + _IDENT256[len(t):]
-
-
 def _invert(t, degree):
-    out = bytearray(degree)
+    out = bytearray(_IDENT256)
     for i in range(degree):
         out[t[i]] = i
-    return _pad(bytes(out))
+    return bytes(out)
+
+
+# -- giant certificate ------------------------------------------------------
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def _is_primitive(tables, degree):
+    """Atkinson's minimal-block test for a transitive group.
+
+    For each point beta other than 0, close {0, beta} under the generators
+    with a union-find: whenever a and b are joined, g(a) and g(b) are joined
+    for every generator g.  The result is the finest invariant partition
+    with 0 and beta in one block, so the group is primitive exactly when
+    every closure is the whole set (Atkinson, Math. Comp. 1975).
+    """
+    whole = degree - 1  # joins that leave a single block
+    for beta in range(1, degree):
+        parent = list(range(degree))
+        parent[beta] = 0
+        joins = 1
+        pairs = [0, beta]
+        qi = 0
+        while joins < whole and qi < len(pairs):
+            a, b = pairs[qi], pairs[qi + 1]
+            qi += 2
+            for t in tables:
+                x = ta = t[a]
+                while parent[x] != x:
+                    x = parent[x]
+                y = tb = t[b]
+                while parent[y] != y:
+                    y = parent[y]
+                if x != y:
+                    parent[y] = x
+                    joins += 1
+                    pairs += (ta, tb)
+        if joins < whole:
+            return False
+    return True
+
+
+def _certificate_words(generators):
+    """A fixed list of ``CERTIFICATE_WORDS`` words in the generators.
+
+    Product replacement on a fixed schedule: the slots start as the
+    generators, repeated cyclically; step j replaces slot i by the product
+    of slots i and l, for the j-th pair of a fixed cycle through the
+    ordered pairs of distinct slots, and the word is a running product of
+    the new slots.
+    """
+    slots = [generators[i % len(generators)]
+             for i in range(max(CERTIFICATE_SLOTS, len(generators)))]
+    n = len(slots)
+    schedule = [(i, (i + d) % n) for d in range(1, n) for i in range(n)]
+    word = identity(generators[0].degree)
+    for j in range(CERTIFICATE_WORDS):
+        i, l = schedule[j % len(schedule)]
+        slots[i] = compose(slots[i], slots[l])
+        word = compose(word, slots[i])
+        yield word
+
+
+def _has_prime_cycle_power(word):
+    """Whether a power of ``word`` is a p-cycle with p prime and p <= n - 3.
+
+    That holds when exactly one cycle length is divisible by p and that
+    length is p: the word raised to the lcm of the other lengths, which is
+    prime to p, is then the p-cycle.
+    """
+    lengths = cycle_type(word).lengths
+    limit = word.degree - 3
+    return any(
+        p <= limit and _is_prime(p) and sum(1 for m in lengths if m % p == 0) == 1
+        for p in set(lengths)
+    )
+
+
+def _jordan_order(group):
+    """The order of a certified giant: n! or n!/2; None when not certified.
+
+    Jordan's theorem: a primitive group of degree n that contains a p-cycle,
+    p prime and p <= n - 3, contains the alternating group A_n.  The
+    certificate checks transitivity, primitivity by Atkinson's test and
+    searches a fixed list of words for a power that is such a p-cycle; the
+    order is then n! when some generator is odd and n!/2 otherwise.  Any
+    check that fails declines, never guesses.
+    """
+    n = group.degree
+    if n < 5 or not group.is_transitive():
+        return None
+    if not _is_primitive([g._table for g in group.generators], n):
+        return None
+    if not any(_has_prime_cycle_power(w) for w in _certificate_words(group.generators)):
+        return None
+    return factorial(n) // (2 if group.all_generators_even() else 1)
 
 
 class _Level:
@@ -98,7 +199,7 @@ class PermGroup:
                 for s in lv.gens:
                     np = s[pt]
                     if np not in lv.orbit:
-                        v = _pad(_compose(u, s))
+                        v = u.translate(s)
                         lv.orbit[np] = (v, _invert(v, degree))
                         queue.append(np)
 
@@ -108,12 +209,12 @@ class PermGroup:
                 entry = lv.orbit.get(t[lv.base])
                 if entry is None:
                     return t, j
-                t = _pad(_compose(t, entry[1]))
+                t = t.translate(entry[1])
             return t, len(levels)
 
         gens0 = []
         for g in self.generators:
-            t = _pad(g._table)
+            t = g._table
             if not is_ident(t) and t not in gens0:
                 gens0.append(t)
         for b in self._initial_base:
@@ -141,7 +242,7 @@ class PermGroup:
                 u, _ = lv.orbit[pt]
                 for s in lv.gens:
                     _, w_inv = lv.orbit[s[pt]]
-                    sg = _pad(_compose(_compose(u, s), w_inv))
+                    sg = u.translate(s).translate(w_inv)
                     if is_ident(sg):
                         continue
                     residue, j = strip(sg, i + 1)
@@ -167,7 +268,10 @@ class PermGroup:
     # -- queries ------------------------------------------------------------
 
     def order(self):
-        self._build()
+        if self._order is None:
+            self._order = _jordan_order(self)
+        if self._order is None:
+            self._build()
         return self._order
 
     def base(self):
@@ -178,12 +282,12 @@ class PermGroup:
         if p.degree != self.degree:
             raise ValueError(f"degree mismatch: {p.degree} != {self.degree}")
         self._build()
-        t = _pad(p._table)
+        t = p._table
         for lv in self._levels:
             entry = lv.orbit.get(t[lv.base])
             if entry is None:
                 return False
-            t = _pad(_compose(t, entry[1]))
+            t = t.translate(entry[1])
         return t[: self.degree] == _IDENT256[: self.degree]
 
     def __contains__(self, p):
@@ -220,6 +324,7 @@ class PermGroup:
             raise CapExceededError(
                 f"group order {n} exceeds enumeration cap {cap}"
             )
+        self._build()
         degree = self.degree
         levels = self._levels
 
@@ -229,7 +334,7 @@ class PermGroup:
                 return
             for pt in sorted(levels[i].orbit):
                 u, _ = levels[i].orbit[pt]
-                yield from rec(i - 1, _compose(acc, u))
+                yield from rec(i - 1, acc.translate(u))
 
         yield from rec(len(levels) - 1, _IDENT256)
 

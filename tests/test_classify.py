@@ -203,6 +203,37 @@ def test_reports_identical_across_thread_counts():
         assert solo == multi
 
 
+def test_census_pool_bounded_by_cores_and_chunks(monkeypatch):
+    # the fake pool records its size and runs the chunks inline: nothing forks
+    import multiprocessing
+    import os
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InlinePool)
+    graph = load_bipartite("a4_clean.bg")  # 16 candidate pairs
+    solo = serialize_report(classify(graph, threads=1), "json")
+    for cores, threads, expected in ((8, 50000, [8]), (64, 50000, [16]),
+                                     (8, 3, [3]), (None, 50000, []), (1, 4, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        sizes.clear()
+        assert serialize_report(classify(graph, threads=threads), "json") == solo
+        assert sizes == expected
+
+
 def test_budget_refusal():
     graph = load_bipartite("k5_clean.bg")
     with pytest.raises(BudgetExceededError) as exc:

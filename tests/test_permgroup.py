@@ -1,4 +1,5 @@
 import random
+from math import factorial
 
 import pytest
 
@@ -11,6 +12,7 @@ from dessins import (
     parse_cycles,
 )
 from dessins.perm import random_permutation
+from dessins.permgroup import _jordan_order
 
 import corpus
 
@@ -184,3 +186,112 @@ def test_mixed_degrees_rejected():
         group_from_generators([identity(3), identity(4)])
     with pytest.raises(ValueError):
         group_from_generators([])
+
+
+# -- giant certificate --------------------------------------------------------
+
+def schreier_sims_order(gens):
+    """The order from a BSGS build, bypassing the giant certificate."""
+    g = PermGroup(gens)
+    g._build()
+    return g._order
+
+
+def sympy_order(gens):
+    sympy = pytest.importorskip("sympy.combinatorics")
+    return sympy.PermutationGroup(
+        [sympy.Permutation([x - 1 for x in g.images]) for g in gens]
+    ).order()
+
+
+def is_giant(order, n):
+    return order in (factorial(n), factorial(n) // 2)
+
+
+def check_monodromy_records(records):
+    certified = 0
+    for rec in records:
+        gens = [rec.representative.sigma, rec.representative.tau]
+        n = gens[0].degree
+        reference = schreier_sims_order(gens)
+        assert reference == sympy_order(gens)
+        certificate = _jordan_order(PermGroup(gens))
+        if certificate is not None:
+            certified += 1
+            assert certificate == reference
+        elif is_giant(reference, n):
+            pytest.fail(f"giant of order {reference} not certified")
+        assert rec.invariants.monodromy_order == reference
+        assert group_from_generators(gens).order() == reference
+    return certified
+
+
+def test_certified_orders_on_fixture_records(a4_report, k33_report, k5_report):
+    assert check_monodromy_records(a4_report.records) == 0
+    assert check_monodromy_records(k33_report.records) == 1
+    assert check_monodromy_records(k5_report.records) == 50
+
+
+def test_certified_orders_on_double_prism_sample(dp_report):
+    sample = random.Random(3).sample(dp_report.records, 16)
+    certified = check_monodromy_records(sample)
+    assert 0 < certified < len(sample)
+
+
+@pytest.mark.parametrize(
+    "gens, n, order",
+    [
+        # PSL(2,5) on the projective line over F_5: x+1 and -1/x; its
+        # 5-cycles have 5 > n - 3
+        (["(1,2,3,4,5)", "(1,6)(2,5)"], 6, 60),
+        # AGL(1,7): x+1 and 3x
+        (["(1,2,3,4,5,6,7)", "(2,4,3,7,5,6)"], 7, 42),
+        # S_2 wr S_3 on the blocks {1,2},{3,4},{5,6}: holds a transposition
+        (["(1,2)", "(1,3)(2,4)", "(1,3,5)(2,4,6)"], 6, 48),
+        # S_6 fixing 1: intransitive, yet every closure of {1, b} is whole
+        (["(2,3,4,5,6,7)", "(2,3)"], 7, 720),
+        # S_4: degree below 5
+        (["(1,2,3,4)", "(1,2)"], 4, 24),
+    ],
+)
+def test_certificate_declines_non_giants(gens, n, order):
+    gens = [P(s, n) for s in gens]
+    g = group_from_generators(gens)
+    assert _jordan_order(g) is None
+    assert g.order() == order == len(closure(gens)) == sympy_order(gens)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_certified_alternating_and_symmetric(n):
+    cycle = "(" + ",".join(str(i) for i in range(1, n + 1)) + ")"
+    cases = [
+        ([cycle, "(1,2)"], factorial(n)),
+        ([cycle, "(1,2,3)"], factorial(n) if n % 2 == 0 else factorial(n) // 2),
+        (["(" + ",".join(str(i) for i in range(2 - n % 2, n + 1)) + ")", "(1,2,3)"],
+         factorial(n) // 2),
+    ]
+    for gens, order in cases:
+        gens = [P(s, n) for s in gens]
+        g = group_from_generators(gens)
+        # A_5 on 5 points has no p-cycle with p <= 2, so Jordan cannot apply
+        certifiable = n > 5 or order == factorial(n)
+        assert _jordan_order(g) == (order if certifiable else None)
+        assert g.order() == order == schreier_sims_order(gens)
+        assert g.all_generators_even() == (order == factorial(n) // 2)
+
+
+def test_queries_after_certified_order():
+    gens = [P("(2,3,4,5,6)", 6), P("(1,2,3)", 6)]
+    g = group_from_generators(gens)
+    assert g.order() == 360
+    assert g._levels is None  # answered by the certificate
+    assert g.base() == PermGroup(gens).base()
+    assert g.contains(P("(1,4,2)", 6))
+    assert not g.contains(P("(1,2)", 6))
+    elems = list(g.elements())
+    assert len(elems) == 360
+    assert set(elems) == closure(gens)
+
+    g = group_from_generators([P("(1,2,3,4,5)", 5), P("(1,2)", 5)])
+    assert g.order() == 120
+    assert len(set(g.elements())) == 120
