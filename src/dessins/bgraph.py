@@ -46,6 +46,24 @@ def _format_degrees(degs):
     return ",".join(out)
 
 
+def _check_connected(vertices, edges):
+    """Refuse unless the ``(label, u, v)`` edges connect all the vertices."""
+    adj = {v: set() for v in vertices}
+    for _, u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen = {vertices[0]}
+    stack = [vertices[0]]
+    while stack:
+        for u in adj[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    if len(seen) != len(adj):
+        missing = sorted(set(adj) - seen, key=str)
+        raise GraphStructureError(f"graph is disconnected (unreachable: {missing})")
+
+
 class BipartiteGraph:
     """Connected bipartite multigraph with edges labeled exactly 1..e."""
 
@@ -89,22 +107,7 @@ class BipartiteGraph:
                 raise GraphStructureError(f"edge {l}: unknown black vertex {b!r}")
             if w not in wset:
                 raise GraphStructureError(f"edge {l}: unknown white vertex {w!r}")
-        # connectivity over the union of both color classes
-        adj = {v: set() for v in list(self.blacks) + list(self.whites)}
-        for _, b, w in self.edges:
-            adj[b].add(w)
-            adj[w].add(b)
-        start = self.blacks[0] if self.blacks else self.whites[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != len(adj):
-            missing = sorted(set(adj) - seen, key=str)
-            raise GraphStructureError(f"graph is disconnected (unreachable: {missing})")
+        _check_connected(self.blacks + self.whites, self.edges)
 
     def degree(self, vertex):
         if vertex in self.black_labels:
@@ -157,20 +160,7 @@ class PlainGraph:
         for l, u, v in self.edges:
             if u not in vset or v not in vset:
                 raise GraphStructureError(f"edge {l}: unknown vertex")
-        adj = {v: set() for v in self.vertices}
-        for _, u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != len(self.vertices):
-            missing = sorted(set(self.vertices) - seen, key=str)
-            raise GraphStructureError(f"graph is disconnected (unreachable: {missing})")
+        _check_connected(self.vertices, self.edges)
 
     def degree(self, vertex):
         # a loop contributes 2 to its vertex
@@ -185,17 +175,49 @@ class PlainGraph:
 
 # -- file formats -----------------------------------------------------------
 
-def _parse_lines(text, kinds):
+def _parse_file(text, kinds):
+    """The vertex ids declared by each directive in ``kinds``, and the edges.
+
+    ``edge`` lines are either all ``edge <label> <u> <v>`` or all
+    ``edge <u> <v>`` (labels then assigned 1..e in file order); edges come
+    back as ``(lineno, label, u, v)``.
+    """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         toks = line.split()
-        if toks[0] not in kinds:
+        if toks[0] not in kinds and toks[0] != "edge":
             raise GraphParseError(f"line {lineno}: unknown directive {toks[0]!r}")
         rows.append((lineno, toks[0], toks[1:]))
-    return rows
+    ids = {kind: [] for kind in kinds}
+    edges = []
+    for lineno, kind, args in rows:
+        if kind != "edge":
+            if not args:
+                raise GraphParseError(f"line {lineno}: '{kind}' needs at least one id")
+            ids[kind].extend(args)
+        elif len(args) == 3:
+            if not args[0].isdigit():
+                raise GraphParseError(
+                    f"line {lineno}: edge label {args[0]!r} is not an integer"
+                )
+            edges.append((lineno, int(args[0]), args[1], args[2]))
+        elif len(args) == 2:
+            edges.append((lineno, None, args[0], args[1]))
+        else:
+            raise GraphParseError(
+                f"line {lineno}: 'edge' takes 2 or 3 arguments, got {len(args)}"
+            )
+    unlabeled = [lineno for lineno, label, _, _ in edges if label is None]
+    if unlabeled and len(unlabeled) != len(edges):
+        raise GraphParseError(
+            f"line {unlabeled[0]}: unlabeled edge in a file with labeled edges"
+        )
+    if unlabeled:
+        edges = [(lineno, i, u, v) for i, (lineno, _, u, v) in enumerate(edges, 1)]
+    return ids, edges
 
 
 def parse_bipartite(text):
@@ -205,90 +227,32 @@ def parse_bipartite(text):
     either all ``edge <label> <black> <white>`` or all ``edge <black> <white>``
     (labels then assigned 1..e in file order).
     """
-    blacks, whites, raw_edges = [], [], []
-    for lineno, kind, args in _parse_lines(text, ("black", "white", "edge")):
-        if kind == "black":
-            if not args:
-                raise GraphParseError(f"line {lineno}: 'black' needs at least one id")
-            blacks.extend(args)
-        elif kind == "white":
-            if not args:
-                raise GraphParseError(f"line {lineno}: 'white' needs at least one id")
-            whites.extend(args)
-        else:
-            if len(args) == 3:
-                if not args[0].isdigit():
-                    raise GraphParseError(
-                        f"line {lineno}: edge label {args[0]!r} is not an integer"
-                    )
-                raw_edges.append((lineno, int(args[0]), args[1], args[2]))
-            elif len(args) == 2:
-                raw_edges.append((lineno, None, args[0], args[1]))
-            else:
-                raise GraphParseError(
-                    f"line {lineno}: 'edge' takes 2 or 3 arguments, got {len(args)}"
-                )
-    labeled = [r for r in raw_edges if r[1] is not None]
-    if labeled and len(labeled) != len(raw_edges):
-        bad = next(r for r in raw_edges if r[1] is None)
-        raise GraphParseError(
-            f"line {bad[0]}: unlabeled edge in a file with labeled edges"
-        )
-    edges = []
+    ids, edges = _parse_file(text, ("black", "white"))
+    blacks, whites = ids["black"], ids["white"]
     bset, wset = set(blacks), set(whites)
-    for i, (lineno, label, b, w) in enumerate(raw_edges):
-        if label is None:
-            label = i + 1
+    for lineno, _, b, w in edges:
         if b == w:
             raise GraphParseError(f"line {lineno}: loop edge {b!r}-{w!r} is not bipartite")
         if b not in bset:
             raise GraphParseError(f"line {lineno}: unknown black vertex {b!r}")
         if w not in wset:
             raise GraphParseError(f"line {lineno}: unknown white vertex {w!r}")
-        edges.append((label, b, w))
     try:
-        return BipartiteGraph(blacks, whites, edges)
+        return BipartiteGraph(blacks, whites, [edge[1:] for edge in edges])
     except GraphStructureError as exc:
         raise GraphParseError(str(exc)) from exc
 
 
 def parse_plain(text):
     """Parse the plain graph format: ``vertex <id>...`` and ``edge [label] <u> <v>``."""
-    vertices, raw_edges = [], []
-    for lineno, kind, args in _parse_lines(text, ("vertex", "edge")):
-        if kind == "vertex":
-            if not args:
-                raise GraphParseError(f"line {lineno}: 'vertex' needs at least one id")
-            vertices.extend(args)
-        else:
-            if len(args) == 3:
-                if not args[0].isdigit():
-                    raise GraphParseError(
-                        f"line {lineno}: edge label {args[0]!r} is not an integer"
-                    )
-                raw_edges.append((lineno, int(args[0]), args[1], args[2]))
-            elif len(args) == 2:
-                raw_edges.append((lineno, None, args[0], args[1]))
-            else:
-                raise GraphParseError(
-                    f"line {lineno}: 'edge' takes 2 or 3 arguments, got {len(args)}"
-                )
-    labeled = [r for r in raw_edges if r[1] is not None]
-    if labeled and len(labeled) != len(raw_edges):
-        bad = next(r for r in raw_edges if r[1] is None)
-        raise GraphParseError(
-            f"line {bad[0]}: unlabeled edge in a file with labeled edges"
-        )
+    ids, edges = _parse_file(text, ("vertex",))
+    vertices = ids["vertex"]
     vset = set(vertices)
-    edges = []
-    for i, (lineno, label, u, v) in enumerate(raw_edges):
-        if label is None:
-            label = i + 1
+    for lineno, _, u, v in edges:
         if u not in vset or v not in vset:
             raise GraphParseError(f"line {lineno}: unknown vertex")
-        edges.append((label, u, v))
     try:
-        return PlainGraph(vertices, edges)
+        return PlainGraph(vertices, [edge[1:] for edge in edges])
     except GraphStructureError as exc:
         raise GraphParseError(str(exc)) from exc
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bgraph import BipartiteGraph, EdgeActionGroup, automorphism_group
 from .dessin import invariants, dualizable_oracle, wilson
-from .perm import Permutation, _IDENT256
+from .perm import Permutation, _IDENT256, _invert
 from .permgroup import PermGroup, DEFAULT_ELEMENTS_CAP
 from .rotation import RotationPair, _pair_stream, chunk_bounds
 
@@ -68,102 +68,101 @@ class ClassificationReport:
 
 # -- the action -------------------------------------------------------------
 
+class _Action:
+    """Conjugation g^-1 t g of label tables by every element g of a group.
+
+    Each element is kept once, as the ``e`` image bytes of its inverse
+    followed by its own 256-byte table, so one conjugate is
+    ``ginv.translate(t).translate(g)`` and is ``e`` bytes long.  The object
+    holds bytes only, which is all that census workers receive.
+    """
+
+    __slots__ = ("e", "pad", "elems")
+
+    def __init__(self, elements, e):
+        self.e = e
+        self.pad = _IDENT256[e:]
+        self.elems = []
+        for g in elements:
+            if g.degree != e:
+                raise ValueError(f"degree mismatch: {e} != {g.degree}")
+            self.elems.append((_invert(g._table, e)[:e], g._table))
+
+    def images(self, t):
+        """The conjugates of one table (of at least ``e`` bytes), in element order."""
+        t = t[: self.e] + self.pad
+        return [gi.translate(t).translate(g) for gi, g in self.elems]
+
+    def least(self, s, t):
+        """The least conjugate of the pair of tables (s, t)."""
+        s, t = s[: self.e] + self.pad, t[: self.e] + self.pad
+        return min(
+            (gi.translate(s).translate(g), gi.translate(t).translate(g))
+            for gi, g in self.elems
+        )
+
+    def fixing(self, s, t):
+        """The elements that fix the pair of tables (s, t), as permutations."""
+        s, t = s[: self.e], t[: self.e]
+        return [
+            Permutation._from_table(g, self.e)
+            for (_, g), cs, ct in zip(self.elems, self.images(s), self.images(t))
+            if cs == s and ct == t
+        ]
+
+
+def _theta(group):
+    return group.theta if isinstance(group, EdgeActionGroup) else group
+
+
+def _pair_from_tables(s, t, graph):
+    e = len(s)
+    return RotationPair(
+        Permutation._from_table(s, e), Permutation._from_table(t, e), graph
+    )
+
+
 def act(phi_edge, pair):
     """Conjugate both rotations by an edge-acting automorphism."""
-    return RotationPair(
-        pair.sigma.conjugate(phi_edge),
-        pair.tau.conjugate(phi_edge),
-        pair.graph,
-    )
-
-
-def _theta_elements(group, cap):
-    theta = group.theta if isinstance(group, EdgeActionGroup) else group
-    elems = []
-    for p in theta.elements(cap=cap):
-        elems.append((p._table, p.inverse()._table))
-    return theta, elems
-
-
-def _canonical_key(sigma_t, tau_t, elems, e):
-    pad = _IDENT256[e:]
-    st = sigma_t[:e] + pad
-    tt = tau_t[:e] + pad
-    return min(
-        (gi[:e].translate(st).translate(g), gi[:e].translate(tt).translate(g))
-        for g, gi in elems
-    )
+    action = _Action([phi_edge], pair.sigma.degree)
+    [s] = action.images(pair.sigma._table)
+    [t] = action.images(pair.tau._table)
+    return _pair_from_tables(s, t, pair.graph)
 
 
 def canonical_form(pair, group, cap=DEFAULT_ELEMENTS_CAP):
     """The lexicographically least conjugate pair; constant on each orbit."""
-    _, elems = _theta_elements(group, cap)
-    e = pair.sigma.degree
-    best_s = best_t = None
-    pad = _IDENT256[e:]
-    st = pair.sigma._table[:e] + pad
-    tt = pair.tau._table[:e] + pad
-    for g, gi in elems:
-        cs = gi[:e].translate(st).translate(g)
-        ct = gi[:e].translate(tt).translate(g)
-        if best_s is None or (cs, ct) < (best_s, best_t):
-            best_s, best_t = cs, ct
-    return RotationPair(
-        Permutation._from_table(best_s, e),
-        Permutation._from_table(best_t, e),
-        pair.graph,
-    )
+    action = _Action(_theta(group).elements(cap), pair.sigma.degree)
+    s, t = action.least(pair.sigma._table, pair.tau._table)
+    return _pair_from_tables(s, t, pair.graph)
 
 
 def stabilizer(pair, group, cap=DEFAULT_ELEMENTS_CAP):
     """Elements of the edge-action group fixing the pair, as a group."""
-    theta, elems = _theta_elements(group, cap)
     e = pair.sigma.degree
-    pad = _IDENT256[e:]
-    st = pair.sigma._table[:e] + pad
-    tt = pair.tau._table[:e] + pad
-    fixing = []
-    for g, gi in elems:
-        if (
-            gi[:e].translate(st).translate(g) == st[:e]
-            and gi[:e].translate(tt).translate(g) == tt[:e]
-        ):
-            fixing.append(Permutation._from_table(g, e))
+    action = _Action(_theta(group).elements(cap), e)
+    fixing = action.fixing(pair.sigma._table, pair.tau._table)
     return PermGroup([g for g in fixing if not g.is_identity()], degree=e)
 
 
 # -- census map-reduce --------------------------------------------------------
 
 def _census_worker(args):
-    graph_parts, elems, start, stop, tau_fixed = args
+    graph_parts, action, start, stop, tau_fixed = args
     graph = BipartiteGraph(*graph_parts)
-    e = graph.e
-    pad = _IDENT256[e:]
-    conjs = [(gi[:e], g) for g, gi in elems]
     counts = {}
-    if tau_fixed:
-        for s, _ in _pair_stream(graph, start, stop, raw=True):
-            st = s + pad
-            key = min(grow.translate(st).translate(g) for grow, g in conjs)
-            counts[key] = counts.get(key, 0) + 1
-    else:
-        for s, t in _pair_stream(graph, start, stop, raw=True):
-            st = s + pad
-            tt = t + pad
-            key = min(
-                (grow.translate(st).translate(g), grow.translate(tt).translate(g))
-                for grow, g in conjs
-            )
-            counts[key] = counts.get(key, 0) + 1
+    for s, t in _pair_stream(graph, start, stop, raw=True):
+        key = min(action.images(s)) if tau_fixed else action.least(s, t)
+        counts[key] = counts.get(key, 0) + 1
     return counts
 
 
-def _orbit_census(graph, elems, threads, tau_fixed, first_tau):
+def _orbit_census(graph, action, threads, tau_fixed, first_tau):
     """Canonical key -> orbit length, merged over workers deterministically."""
     total = graph.candidate_count()
     graph_parts = (graph.blacks, graph.whites, graph.edges)
     jobs = [
-        (graph_parts, elems, start, stop, tau_fixed)
+        (graph_parts, action, start, stop, tau_fixed)
         for start, stop in chunk_bounds(total, max(1, min(threads, total)))
         if start < stop
     ]
@@ -209,40 +208,24 @@ def classify(
         raise BudgetExceededError(total, budget)
     if group is None:
         group = automorphism_group(graph)
-    theta, elems = _theta_elements(group, elements_cap)
-    e = graph.e
-    group_order = len(elems)
+    theta = _theta(group)
+    action = _Action(theta.elements(elements_cap), graph.e)
+    group_order = len(action.elems)
 
     # white degrees <= 2 leave a single tau, necessarily group-invariant
     first = next(_pair_stream(graph, 0, 1, raw=True))
     tau_fixed = all(len(labels) <= 2 for labels in graph.white_labels.values())
-    if tau_fixed:
-        pad = _IDENT256[e:]
-        tt = first[1] + pad
-        for g, gi in elems:
-            if gi[:e].translate(tt).translate(g) != first[1]:
-                raise InternalInvariantError("unique tau moved by the group")
+    if tau_fixed and any(t != first[1] for t in action.images(first[1])):
+        raise InternalInvariantError("unique tau moved by the group")
 
-    census = _orbit_census(graph, elems, threads, tau_fixed, first[1])
+    census = _orbit_census(graph, action, threads, tau_fixed, first[1])
 
-    records = []
     key_to_orbit = {key: i for i, key in enumerate(sorted(census))}
-    pad = _IDENT256[e:]
-    mirror_keys = []
-    for key in sorted(census):
-        skey, tkey = key
-        orbit_id = key_to_orbit[key]
+    records = []
+    for key, orbit_id in key_to_orbit.items():
         orbit_length = census[key]
-        sigma = Permutation._from_table(skey, e)
-        tau = Permutation._from_table(tkey, e)
-        pair = RotationPair(sigma, tau, graph)
-        st, tt = skey + pad, tkey + pad
-        fixing = [
-            Permutation._from_table(g, e)
-            for g, gi in elems
-            if gi[:e].translate(st).translate(g) == skey
-            and gi[:e].translate(tt).translate(g) == tkey
-        ]
+        pair = _pair_from_tables(*key, graph)
+        fixing = action.fixing(*key)
         aut_order = len(fixing)
         if orbit_length * aut_order != group_order:
             raise InternalInvariantError(
@@ -256,48 +239,29 @@ def classify(
                 raise InternalInvariantError(
                     f"duality oracle disagrees at orbit {orbit_id}"
                 )
-        mirror_keys.append(
-            _canonical_key(sigma.inverse()._table, tau.inverse()._table, elems, e)
+        rec = DessinRecord(
+            orbit_id=orbit_id,
+            representative=pair,
+            orbit_length=orbit_length,
+            aut_order=aut_order,
+            aut_generators=tuple(g for g in fixing if not g.is_identity()),
+            invariants=inv,
+            mirror_status=MIRROR_REFLEXIVE,
+            mirror_partner=None,
         )
-        records.append(
-            DessinRecord(
-                orbit_id=orbit_id,
-                representative=pair,
-                orbit_length=orbit_length,
-                aut_order=aut_order,
-                aut_generators=tuple(g for g in fixing if not g.is_identity()),
-                invariants=inv,
-                mirror_status=MIRROR_REFLEXIVE,
-                mirror_partner=None,
-            )
-        )
-
-    finished = []
-    for rec, mkey in zip(records, mirror_keys):
-        partner = key_to_orbit.get(mkey)
+        mirrored = action.least(pair.sigma.inverse()._table, pair.tau.inverse()._table)
+        partner = key_to_orbit.get(mirrored)
         if partner is None:
             raise InternalInvariantError(
-                f"mirror of orbit {rec.orbit_id} left the family"
+                f"mirror of orbit {orbit_id} left the family"
             )
-        if partner == rec.orbit_id:
-            finished.append(rec)
-        else:
-            finished.append(
-                DessinRecord(
-                    orbit_id=rec.orbit_id,
-                    representative=rec.representative,
-                    orbit_length=rec.orbit_length,
-                    aut_order=rec.aut_order,
-                    aut_generators=rec.aut_generators,
-                    invariants=rec.invariants,
-                    mirror_status=MIRROR_CHIRAL,
-                    mirror_partner=partner,
-                )
-            )
+        if partner != orbit_id:
+            rec = replace(rec, mirror_status=MIRROR_CHIRAL, mirror_partner=partner)
+        records.append(rec)
 
     genus_histogram = {}
     dualizable_histogram = {}
-    for rec in finished:
+    for rec in records:
         g = rec.invariants.genus
         genus_histogram[g] = genus_histogram.get(g, 0) + 1
         if g not in dualizable_histogram:
@@ -311,7 +275,7 @@ def classify(
         theta=theta,
         group_order=group_order,
         candidate_count=total,
-        records=tuple(finished),
+        records=tuple(records),
         genus_histogram=dict(sorted(genus_histogram.items())),
         dualizable_histogram=dict(sorted(dualizable_histogram.items())),
     )
@@ -319,8 +283,8 @@ def classify(
 
 def wilson_orbit_targets(report, r, s, cap=DEFAULT_ELEMENTS_CAP):
     """Map each orbit to the orbit hit by the (r, s) power operation."""
-    _, elems = _theta_elements(report.theta, cap)
     e = report.graph.e
+    action = _Action(report.theta.elements(cap), e)
     key_to_orbit = {
         (
             rec.representative.sigma._table[:e],
@@ -331,7 +295,7 @@ def wilson_orbit_targets(report, r, s, cap=DEFAULT_ELEMENTS_CAP):
     targets = {}
     for rec in report.records:
         image = wilson(rec.representative, r, s)
-        key = _canonical_key(image.sigma._table, image.tau._table, elems, e)
+        key = action.least(image.sigma._table, image.tau._table)
         if key not in key_to_orbit:
             raise InternalInvariantError(
                 f"power operation left the family at orbit {rec.orbit_id}"

@@ -65,20 +65,6 @@ def face_permutation(pair):
     return compose(pair.tau, pair.sigma)
 
 
-def _is_transitive_pair(sigma, tau):
-    e = sigma.degree
-    seen = {0}
-    stack = [0]
-    ts, tt = sigma._table, tau._table
-    while stack:
-        x = stack.pop()
-        for y in (ts[x], tt[x]):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == e
-
-
 def monodromy_group(pair):
     return PermGroup([pair.sigma, pair.tau])
 
@@ -91,7 +77,8 @@ def invariants(pair, with_monodromy=True):
     """
     sigma, tau = pair.sigma, pair.tau
     e = sigma.degree
-    if not _is_transitive_pair(sigma, tau):
+    group = monodromy_group(pair)
+    if not group.is_transitive():
         raise NonTransitiveError(
             "sigma and tau do not generate a transitive group; "
             "the underlying graph is disconnected"
@@ -108,7 +95,6 @@ def invariants(pair, with_monodromy=True):
         raise AssertionError(f"negative genus {genus}")
     order = fingerprint = regular = None
     if with_monodromy:
-        group = monodromy_group(pair)
         order = group.order()
         fingerprint = MonodromyFingerprint(
             order=order,

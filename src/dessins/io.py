@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .bgraph import _format_degrees
-from .perm import format_cycles, parse_cycles, CycleParseError
+from .perm import MAX_DEGREE, format_cycles, parse_cycles
 
 SCHEMA_VERSION = "1"
 
@@ -43,8 +43,8 @@ def _record_sort_key(rec):
         inv.passport.black,
         inv.passport.white,
         inv.passport.faces,
-        rec.representative.sigma.images,
-        rec.representative.tau.images,
+        rec.representative.sigma,
+        rec.representative.tau,
     )
 
 
@@ -223,26 +223,35 @@ def parse_report(text):
         raise ReportFormatError("missing records list")
     e = graph["e"]
     for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ReportFormatError(f"record {i} is not an object")
         for field in ("orbit_id", "sigma", "tau", "orbit_length", "aut_order",
                       "genus", "passport", "monodromy_order", "mirror"):
             if field not in rec:
                 raise ReportFormatError(f"record {i} missing {field!r}")
+        if type(e) is not int or not 1 <= e <= MAX_DEGREE:
+            raise ReportFormatError(f"record {i}: graph e {e!r} is not in 1..{MAX_DEGREE}")
         for field in ("sigma", "tau"):
             try:
                 parse_cycles(rec[field], e)
-            except CycleParseError as exc:
+            except (ValueError, TypeError) as exc:
                 raise ReportFormatError(
                     f"record {i}: bad {field} cycle string: {exc}"
                 ) from exc
-        for g in rec.get("aut_generators", []):
-            try:
+        try:
+            for g in rec.get("aut_generators", []):
                 parse_cycles(g, e)
-            except CycleParseError as exc:
-                raise ReportFormatError(
-                    f"record {i}: bad automorphism cycle string: {exc}"
-                ) from exc
-        if rec["monodromy_order"] is not None:
-            int(rec["monodromy_order"])
+        except (ValueError, TypeError) as exc:
+            raise ReportFormatError(
+                f"record {i}: bad automorphism cycle string: {exc}"
+            ) from exc
+        try:
+            if rec["monodromy_order"] is not None:
+                int(rec["monodromy_order"])
+        except (ValueError, TypeError) as exc:
+            raise ReportFormatError(
+                f"record {i}: bad monodromy_order {rec['monodromy_order']!r}"
+            ) from exc
     for field in ("genus_histogram", "dualizable_histogram"):
         if not isinstance(data.get(field), dict):
             raise ReportFormatError(f"missing {field}")

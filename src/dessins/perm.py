@@ -52,12 +52,13 @@ class CycleType:
 class Permutation:
     """A bijection of {1..degree}, immutable.
 
-    ``images[i]`` is the image of label ``i + 1``; all labels are 1-based at
-    the interface.  ``_table`` caches the 0-based image bytes padded to 256
-    entries so that composition is a single ``bytes.translate``.
+    The only stored form is ``_table``: the 0-based image bytes padded with
+    the identity to 256 entries, so that composition is a single
+    ``bytes.translate``.  ``images[i]`` is the image of label ``i + 1``,
+    derived from the table; all labels are 1-based at the interface.
     """
 
-    __slots__ = ("degree", "images", "_table")
+    __slots__ = ("degree", "_table")
 
     def __init__(self, images):
         images = tuple(images)
@@ -72,7 +73,6 @@ class Permutation:
                 raise ValueError(f"image {v} repeated; not a bijection")
             seen[v - 1] = True
         self.degree = degree
-        self.images = images
         self._table = bytes(v - 1 for v in images) + _IDENT256[degree:]
 
     @classmethod
@@ -80,14 +80,17 @@ class Permutation:
         """Trusted constructor from 0-based bytes (no validation)."""
         p = object.__new__(cls)
         p.degree = degree
-        p.images = tuple(b + 1 for b in table[:degree])
         p._table = bytes(table[:degree]) + _IDENT256[degree:]
         return p
+
+    @property
+    def images(self):
+        return tuple(b + 1 for b in self._table[: self.degree])
 
     def __call__(self, label):
         if not 1 <= label <= self.degree:
             raise ValueError(f"label {label} outside 1..{self.degree}")
-        return self.images[label - 1]
+        return self._table[label - 1] + 1
 
     def __mul__(self, other):
         return compose(self, other)
@@ -105,43 +108,46 @@ class Permutation:
         return result
 
     def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
+        # identities of different degrees have equal padded tables
+        return (
+            isinstance(other, Permutation)
+            and self.degree == other.degree
+            and self._table == other._table
+        )
 
     def __hash__(self):
-        return hash(self.images)
+        return hash(self._table)
 
     def __lt__(self, other):
-        return self.images < other.images
+        return self._table[: self.degree] < other._table[: other.degree]
 
     def __repr__(self):
         return f"Permutation({format_cycles(self)!r}, degree={self.degree})"
 
     def is_identity(self):
-        return all(v == i + 1 for i, v in enumerate(self.images))
+        return self._table == _IDENT256
 
     def inverse(self):
-        table = bytearray(self.degree)
-        for i in range(self.degree):
-            table[self._table[i]] = i
-        return Permutation._from_table(bytes(table), self.degree)
+        return Permutation._from_table(_invert(self._table, self.degree), self.degree)
 
     def conjugate(self, g):
         return conjugate(self, g)
 
     def cycles(self, include_fixed=False):
         """Disjoint cycles, each starting at its least label, sorted by least label."""
+        table = self._table
         seen = [False] * self.degree
         out = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
+        for start in range(self.degree):
+            if seen[start]:
                 continue
-            cyc = [start]
-            seen[start - 1] = True
-            nxt = self.images[start - 1]
+            cyc = [start + 1]
+            seen[start] = True
+            nxt = table[start]
             while nxt != start:
-                cyc.append(nxt)
-                seen[nxt - 1] = True
-                nxt = self.images[nxt - 1]
+                cyc.append(nxt + 1)
+                seen[nxt] = True
+                nxt = table[nxt]
             if len(cyc) > 1 or include_fixed:
                 out.append(tuple(cyc))
         return out
@@ -151,6 +157,14 @@ class Permutation:
 
     def is_even(self):
         return is_even(self)
+
+
+def _invert(table, degree):
+    """The inverse of a 0-based image table, padded to 256 bytes."""
+    out = bytearray(_IDENT256)
+    for i in range(degree):
+        out[table[i]] = i
+    return bytes(out)
 
 
 def identity(degree):

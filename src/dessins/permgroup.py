@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .perm import Permutation, _IDENT256, compose, cycle_type, identity
+from .perm import Permutation, _IDENT256, _invert, compose, cycle_type, identity
 
 DEFAULT_ELEMENTS_CAP = 10**6
 
@@ -28,13 +28,6 @@ CERTIFICATE_SLOTS = 5
 
 class CapExceededError(RuntimeError):
     """Refusal to enumerate a group larger than the requested cap."""
-
-
-def _invert(t, degree):
-    out = bytearray(_IDENT256)
-    for i in range(degree):
-        out[t[i]] = i
-    return bytes(out)
 
 
 # -- giant certificate ------------------------------------------------------

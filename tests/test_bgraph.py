@@ -68,6 +68,39 @@ def test_parse_unknown_directive():
         parse_bipartite("node a\n")
 
 
+# both headers declare the vertices a and w on lines 1-2, so every edge
+# line has the same number in both formats
+HEADERS = [
+    (parse_bipartite, "black a\nwhite w\n"),
+    (parse_plain, "vertex a\nvertex w\n"),
+]
+
+
+@pytest.mark.parametrize("edges, message", [
+    ("edge 1 a w\nedge a w\n", "line 4: unlabeled edge in a file with labeled edges"),
+    ("edge a w\nedge 2 a w\n", "line 3: unlabeled edge in a file with labeled edges"),
+    ("edge x a w\n", "line 3: edge label 'x' is not an integer"),
+    ("edge -1 a w\n", "line 3: edge label '-1' is not an integer"),
+    ("edge a\n", "line 3: 'edge' takes 2 or 3 arguments, got 1"),
+    ("edge 1 a w w\n", "line 3: 'edge' takes 2 or 3 arguments, got 4"),
+])
+@pytest.mark.parametrize("parse, header", HEADERS)
+def test_edge_line_errors_shared_by_both_formats(parse, header, edges, message):
+    with pytest.raises(GraphParseError) as info:
+        parse(header + edges)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_bipartite, "black a b\nwhite w x\nedge a w\nedge b x\n"),
+    (parse_plain, "vertex a b w x\nedge a w\nedge b x\n"),
+])
+def test_disconnected_refused_by_both_formats(parse, text):
+    with pytest.raises(GraphParseError) as info:
+        parse(text)
+    assert str(info.value) == "graph is disconnected (unreachable: ['b', 'x'])"
+
+
 def test_implicit_labels_in_file_order():
     g = parse_bipartite("black a\nwhite w x\nedge a w\nedge a x\n")
     assert [(l, b, w) for l, b, w in g.edges] == [(1, "a", "w"), (2, "a", "x")]

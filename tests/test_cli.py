@@ -188,13 +188,22 @@ def test_output_stable_across_hash_seeds():
     import subprocess
     import sys
 
-    outputs = set()
-    for seed in ("0", "1", "31337"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        proc = subprocess.run(
-            [sys.executable, "-m", "dessins.cli", "classify",
-             fixture_path("d33.bg"), "--emit", "json", "--threads", "2"],
-            capture_output=True, env=env, check=True,
-        )
-        outputs.add(proc.stdout)
-    assert len(outputs) == 1
+    import dessins
+
+    # the child imports the package this process imported, also when only
+    # pytest's own path setting points at it
+    src = os.path.dirname(os.path.dirname(dessins.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    # c33 is the small fixture with chiral mirror partners, and the (2, 2)
+    # power operation moves some of its orbits
+    for args in (["d33.bg"], ["c33.bg", "--wilson", "2,2"]):
+        outputs = set()
+        for seed in ("0", "1", "31337"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-m", "dessins.cli", "classify",
+                 fixture_path(args[0]), *args[1:], "--emit", "json", "--threads", "2"],
+                capture_output=True, env=env, check=True,
+            )
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1

@@ -104,6 +104,40 @@ def test_parse_rejects_missing_fields(a4_report):
         parse_report("{nope")
 
 
+def _set_monodromy_order(doc, value):
+    doc["records"][0]["monodromy_order"] = value
+
+
+def _set_graph_e(doc, value):
+    doc["graph"]["e"] = value
+
+
+def _set_record(doc, value):
+    doc["records"][0] = value
+
+
+def _set_sigma(doc, value):
+    doc["records"][0]["sigma"] = value
+
+
+@pytest.mark.parametrize("corrupt, value", [
+    (_set_monodromy_order, "abc"),
+    (_set_monodromy_order, [6]),
+    (_set_graph_e, "9"),
+    (_set_graph_e, 300),
+    (_set_graph_e, True),
+    (_set_record, ["not", "an", "object"]),
+    (_set_record, 7),
+    (_set_sigma, 5),
+    (_set_sigma, None),
+])
+def test_parse_rejects_malformed_values_with_record_index(k33_report, corrupt, value):
+    doc = json.loads(serialize_report(k33_report.report, "json"))
+    corrupt(doc, value)
+    with pytest.raises(ReportFormatError, match="^record 0"):
+        parse_report(json.dumps(doc))
+
+
 def test_large_report_parses_quickly(dp_drawing_report):
     text = serialize_report(dp_drawing_report.report, "json")
     t0 = time.monotonic()

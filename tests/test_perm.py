@@ -171,3 +171,28 @@ def test_power():
     assert c**2 == c.inverse()
     assert c**-1 == c.inverse()
     assert c**4 == c
+
+
+def test_images_is_read_only():
+    p = P("(1,2,3)", 3)
+    with pytest.raises(AttributeError):
+        p.images = (1, 2, 3)
+    assert p.images == (2, 3, 1)
+
+
+def test_identities_of_different_degree_differ():
+    assert identity(3) != identity(4)
+
+
+def test_equal_permutations_from_every_constructor():
+    a = Permutation([2, 3, 1, 5, 4])
+    b = P("(1,2,3)(4,5)", 5)
+    c = compose(P("(1,2)", 5), P("(1,3)(4,5)", 5))
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+
+
+def test_sort_order_is_image_order():
+    rng = random.Random(41)
+    perms = [random_permutation(5, rng) for _ in range(60)]
+    assert [p.images for p in sorted(perms)] == sorted(p.images for p in perms)

@@ -1,0 +1,103 @@
+"""Seeded property tests of the classification on small random graphs.
+
+The oracle uses only the public ``act``: it closes each rotation pair
+under every group element to get the orbits, and counts fixed pairs for
+Burnside's lemma.  The classification must agree with it.
+"""
+
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from dessins import (
+    BipartiteGraph,
+    act,
+    automorphism_group,
+    canonical_form,
+    classify,
+    enumerate_pairs,
+    mirror,
+    stabilizer,
+)
+
+# N * |G| act calls per Burnside count; keeps each example well under 0.1 s
+MAX_WORK = 3000
+
+
+@st.composite
+def small_graphs(draw):
+    """A connected bipartite multigraph with at most 7 edges, labels shuffled.
+
+    A random tree grown from the edge b0-w0 keeps it connected; extra edges
+    may run in parallel to earlier ones.
+    """
+    blacks, whites = ["b0"], ["w0"]
+    ends = [("b0", "w0")]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            ends.append((f"b{len(blacks)}", draw(st.sampled_from(whites))))
+            blacks.append(ends[-1][0])
+        else:
+            ends.append((draw(st.sampled_from(blacks)), f"w{len(whites)}"))
+            whites.append(ends[-1][1])
+    ends += draw(st.lists(
+        st.tuples(st.sampled_from(blacks), st.sampled_from(whites)),
+        max_size=7 - len(ends),
+    ))
+    labels = draw(st.permutations(range(1, len(ends) + 1)))
+    return BipartiteGraph(blacks, whites, [(l, b, w) for l, (b, w) in zip(labels, ends)])
+
+
+def key(pair):
+    return pair.sigma.images, pair.tau.images
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(small_graphs())
+def test_classification_agrees_with_act_oracle(graph):
+    group = automorphism_group(graph)
+    assume(graph.candidate_count() * group.theta.order() <= MAX_WORK)
+    elems = list(group.theta.elements())
+    pairs = list(enumerate_pairs(graph))
+
+    orbit_of = {}
+    orbit_sizes = []
+    for pair in pairs:
+        if key(pair) not in orbit_of:
+            orbit = {key(act(g, pair)) for g in elems}
+            orbit_of.update((k, len(orbit_sizes)) for k in orbit)
+            orbit_sizes.append(len(orbit))
+    fixed = sum(1 for g in elems for p in pairs if key(act(g, p)) == key(p))
+    assert fixed % len(elems) == 0
+
+    report = classify(graph)
+    records = report.records
+    assert report.group_order == len(elems)
+    assert len(records) == len(orbit_sizes) == fixed // len(elems)
+    assert sum(r.orbit_length for r in records) == len(pairs) == graph.candidate_count()
+
+    orbit_ids = {orbit_of[key(r.representative)] for r in records}
+    assert len(orbit_ids) == len(records)
+    by_id = {r.orbit_id: r for r in records}
+    for rec in records:
+        rep = rec.representative
+        assert rec.orbit_length == orbit_sizes[orbit_of[key(rep)]]
+        assert rec.orbit_length * rec.aut_order == len(elems)
+        assert stabilizer(rep, group).order() == rec.aut_order
+        for g in elems:
+            image = act(g, rep)
+            assert key(canonical_form(image, group)) == key(rep)
+            # a right action: conjugating by g, then by h, is conjugating by g*h
+            for h in group.theta.generators:
+                assert key(act(h, image)) == key(act(g * h, rep))
+        partner = by_id[rec.orbit_id if rec.mirror_partner is None else rec.mirror_partner]
+        assert orbit_of[key(mirror(rep))] == orbit_of[key(partner.representative)]
+        if rec.mirror_status == "chiral":
+            assert partner.orbit_id != rec.orbit_id
+            assert partner.mirror_partner == rec.orbit_id
+        else:
+            assert rec.mirror_partner is None
