@@ -2,13 +2,20 @@
 
 Two pairs define isomorphic dessins exactly when some edge-acting graph
 automorphism conjugates one to the other, so the isomorphism classes are
-the orbits of the edge-action group.  Each pair is canonicalized to the
-lexicographically least conjugate; counting pairs per canonical key yields
-orbit lengths, and the stabilizer of a representative is the dessin's
-orientation-preserving automorphism group.
+the orbits of the edge-action group G.  The census is orderly orbit
+enumeration in the spirit of McKay, "Isomorph-free exhaustive generation"
+(J. Algorithms 1998): it walks the pinned pair stream once and keeps one
+mark per stream rank.  At each unmarked pair it takes the
+lexicographically least conjugate as the orbit's representative,
+conjugates the representative by every element of G and marks the rank of
+each image.  The images equal to the representative give its stabilizer,
+the dessin's orientation-preserving automorphism group.  The work is N
+stream steps and N ranks plus orbits * |G| conjugations, in N bytes of
+marks.
 
-The map phase is a deterministic map-reduce over contiguous chunks of the
-pinned enumeration order; output never depends on the worker count.
+When the monodromy groups are wanted, their Schreier-Sims builds dominate,
+so the per-orbit invariants run in a fork pool over contiguous chunks of
+the orbits; output never depends on the worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .bgraph import BipartiteGraph, EdgeActionGroup, automorphism_group
 from .dessin import invariants, dualizable_oracle, wilson
 from .perm import Permutation, _IDENT256, _invert
 from .permgroup import PermGroup, DEFAULT_ELEMENTS_CAP
-from .rotation import RotationPair, _pair_stream, chunk_bounds
+from .rotation import RotationPair, _Radix, _pair_stream, chunk_bounds
 
 DEFAULT_BUDGET = 10**7
 
@@ -73,8 +80,7 @@ class _Action:
 
     Each element is kept once, as the ``e`` image bytes of its inverse
     followed by its own 256-byte table, so one conjugate is
-    ``ginv.translate(t).translate(g)`` and is ``e`` bytes long.  The object
-    holds bytes only, which is all that census workers receive.
+    ``ginv.translate(t).translate(g)`` and is ``e`` bytes long.
     """
 
     __slots__ = ("e", "pad", "elems")
@@ -93,22 +99,30 @@ class _Action:
         t = t[: self.e] + self.pad
         return [gi.translate(t).translate(g) for gi, g in self.elems]
 
+    def pair_images(self, s, t):
+        """The conjugates of the pair of tables (s, t), in element order."""
+        return list(zip(self.images(s), self.images(t)))
+
     def least(self, s, t):
         """The least conjugate of the pair of tables (s, t)."""
-        s, t = s[: self.e] + self.pad, t[: self.e] + self.pad
-        return min(
-            (gi.translate(s).translate(g), gi.translate(t).translate(g))
-            for gi, g in self.elems
+        return min(self.pair_images(s, t))
+
+    def fixing(self, images, key):
+        """The stabilizer of ``key``, given its conjugates ``images``.
+
+        Returns its order and its elements other than the identity, as
+        permutations in element order.
+        """
+        tables = [g for (_, g), image in zip(self.elems, images) if image == key]
+        return len(tables), tuple(
+            Permutation._from_table(g, self.e) for g in tables if g != _IDENT256
         )
 
-    def fixing(self, s, t):
-        """The elements that fix the pair of tables (s, t), as permutations."""
+    def stabilizer(self, s, t):
+        """The elements that fix the pair of tables (s, t), as a group."""
         s, t = s[: self.e], t[: self.e]
-        return [
-            Permutation._from_table(g, self.e)
-            for (_, g), cs, ct in zip(self.elems, self.images(s), self.images(t))
-            if cs == s and ct == t
-        ]
+        _, generators = self.fixing(self.pair_images(s, t), (s, t))
+        return PermGroup(generators, degree=self.e)
 
 
 def _theta(group):
@@ -139,50 +153,65 @@ def canonical_form(pair, group, cap=DEFAULT_ELEMENTS_CAP):
 
 def stabilizer(pair, group, cap=DEFAULT_ELEMENTS_CAP):
     """Elements of the edge-action group fixing the pair, as a group."""
-    e = pair.sigma.degree
-    action = _Action(_theta(group).elements(cap), e)
-    fixing = action.fixing(pair.sigma._table, pair.tau._table)
-    return PermGroup([g for g in fixing if not g.is_identity()], degree=e)
+    action = _Action(_theta(group).elements(cap), pair.sigma.degree)
+    return action.stabilizer(pair.sigma._table, pair.tau._table)
 
 
-# -- census map-reduce --------------------------------------------------------
+# -- census by orbit marking -------------------------------------------------
 
-def _census_worker(args):
-    graph_parts, action, start, stop, tau_fixed = args
-    graph = BipartiteGraph(*graph_parts)
-    counts = {}
-    for s, t in _pair_stream(graph, start, stop, raw=True):
-        key = min(action.images(s)) if tau_fixed else action.least(s, t)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _orbit_census(graph, action):
+    """Representative tables -> (orbit length, stabilizer order, generators).
+
+    The generators are the stabilizer's elements other than the identity.
+    """
+    radix = _Radix(graph)
+    marked = bytearray(radix.total)
+    census = {}
+    for index, (s, t) in enumerate(_pair_stream(graph, 0, radix.total, raw=True)):
+        if marked[index]:
+            continue
+        images = action.pair_images(s, t)
+        rep = min(images)
+        if rep != (s, t):  # the stabilizer is read off rep's own conjugates
+            images = action.pair_images(*rep)
+        orbit = set(images)
+        for image in orbit:
+            try:
+                rank = radix.rank(*image)
+            except KeyError:
+                raise InternalInvariantError(
+                    f"a conjugate of pair {index} left the family"
+                ) from None
+            if marked[rank]:
+                raise InternalInvariantError(f"pair {rank} lies in two orbits")
+            marked[rank] = 1
+        if not marked[index]:
+            raise InternalInvariantError(f"pair {index} missing from its own orbit")
+        census[rep] = (len(orbit), *action.fixing(images, rep))
+    return census
 
 
-def _orbit_census(graph, action, threads, tau_fixed, first_tau):
-    """Canonical key -> orbit length, merged over workers deterministically."""
-    total = graph.candidate_count()
-    graph_parts = (graph.blacks, graph.whites, graph.edges)
+def _invariants_worker(args):
+    pairs, with_monodromy = args
+    return [invariants(pair, with_monodromy=with_monodromy) for pair in pairs]
+
+
+def _orbit_invariants(pairs, threads, with_monodromy):
+    """invariants() of each pair, in order.
+
+    Only the monodromy groups cost enough to pay for forking; the workers
+    are bounded by the cores and the pairs, so a large ``threads`` forks
+    no more than can run.
+    """
+    processes = min(threads, os.cpu_count() or 1, len(pairs))
+    if not with_monodromy or processes <= 1:
+        return _invariants_worker((pairs, with_monodromy))
     jobs = [
-        (graph_parts, action, start, stop, tau_fixed)
-        for start, stop in chunk_bounds(total, max(1, min(threads, total)))
-        if start < stop
+        (pairs[slice(*chunk_bounds(len(pairs), i, processes))], with_monodromy)
+        for i in range(processes)
     ]
-    # chunking follows ``threads``; the workers are bounded by the cores and
-    # the chunk count, so a large ``threads`` forks no more than can run
-    processes = min(threads, os.cpu_count() or 1, len(jobs))
-    if processes <= 1:
-        results = [_census_worker(job) for job in jobs]
-    else:
-        with multiprocessing.get_context("fork").Pool(processes) as pool:
-            results = pool.map(_census_worker, jobs)
-    merged = {}
-    for part in results:
-        for key, n in part.items():
-            merged[key] = merged.get(key, 0) + n
-    if sum(merged.values()) != total:
-        raise InternalInvariantError("census lost or duplicated pairs")
-    if tau_fixed:
-        return {(key, first_tau): n for key, n in merged.items()}
-    return merged
+    with multiprocessing.get_context("fork").Pool(processes) as pool:
+        return [inv for part in pool.map(_invariants_worker, jobs) for inv in part]
 
 
 def classify(
@@ -212,27 +241,26 @@ def classify(
     action = _Action(theta.elements(elements_cap), graph.e)
     group_order = len(action.elems)
 
-    # white degrees <= 2 leave a single tau, necessarily group-invariant
+    # white degrees <= 2 leave a single tau, which every automorphism fixes;
+    # ranks do not read vertices with a single rotation, so check it here
     first = next(_pair_stream(graph, 0, 1, raw=True))
     tau_fixed = all(len(labels) <= 2 for labels in graph.white_labels.values())
     if tau_fixed and any(t != first[1] for t in action.images(first[1])):
         raise InternalInvariantError("unique tau moved by the group")
 
-    census = _orbit_census(graph, action, threads, tau_fixed, first[1])
+    census = _orbit_census(graph, action)
 
     key_to_orbit = {key: i for i, key in enumerate(sorted(census))}
+    pairs = [_pair_from_tables(*key, graph) for key in key_to_orbit]
+    invs = _orbit_invariants(pairs, threads, with_monodromy)
     records = []
-    for key, orbit_id in key_to_orbit.items():
-        orbit_length = census[key]
-        pair = _pair_from_tables(*key, graph)
-        fixing = action.fixing(*key)
-        aut_order = len(fixing)
+    for (key, orbit_id), pair, inv in zip(key_to_orbit.items(), pairs, invs):
+        orbit_length, aut_order, generators = census.pop(key)
         if orbit_length * aut_order != group_order:
             raise InternalInvariantError(
                 f"orbit-stabilizer mismatch at orbit {orbit_id}: "
                 f"{orbit_length} * {aut_order} != {group_order}"
             )
-        inv = invariants(pair, with_monodromy=with_monodromy)
         if duality_oracle:
             oracle = dualizable_oracle(pair, cap=elements_cap)
             if oracle != inv.dualizable:
@@ -244,7 +272,7 @@ def classify(
             representative=pair,
             orbit_length=orbit_length,
             aut_order=aut_order,
-            aut_generators=tuple(g for g in fixing if not g.is_identity()),
+            aut_generators=generators,
             invariants=inv,
             mirror_status=MIRROR_REFLEXIVE,
             mirror_partner=None,

@@ -17,9 +17,8 @@ from .classify import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     InternalInvariantError,
-    canonical_form,
+    _Action,
     classify,
-    stabilizer,
     wilson_orbit_targets,
 )
 from .dessin import NonTransitiveError, invariants, mirror
@@ -114,11 +113,12 @@ def cmd_analyze(args, out, err):
         )
     pair = RotationPair(sigma, tau, graph)
     inv = invariants(pair)
-    group = automorphism_group(graph)
-    stab = stabilizer(pair, group)
-    own = canonical_form(pair, group)
-    mirrored = canonical_form(mirror(pair), group)
-    reflexive = (own.sigma, own.tau) == (mirrored.sigma, mirrored.tau)
+    action = _Action(automorphism_group(graph).theta.elements(), graph.e)
+    stab = action.stabilizer(sigma._table, tau._table)
+    mirrored = mirror(pair)
+    reflexive = action.least(sigma._table, tau._table) == action.least(
+        mirrored.sigma._table, mirrored.tau._table
+    )
     fp = inv.monodromy_fingerprint
     out.write(f"sigma: {format_cycles(sigma)}\n")
     out.write(f"tau: {format_cycles(tau)}\n")

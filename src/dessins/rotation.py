@@ -2,7 +2,9 @@
 
 The stream order is pinned: one mixed-radix counter over per-vertex rotation
 indices, black vertices varying fastest, each vertex's rotations in
-lexicographic order with the smallest incident label held first.  Chunks
+lexicographic order with the smallest incident label held first.  A pair's
+index in that order is its rank; ``_Radix.rank`` computes it from the
+pair's tables, and ``_pair_stream(graph, i, i + 1)`` unranks it.  Chunks
 split the counter range, so any partition of the index space replays the
 exact same pairs.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .perm import Permutation
 
@@ -57,8 +60,27 @@ class _Radix:
         self.white_opts = [_cycles_at(graph.white_labels[v]) for v in graph.whites]
         self.opts = self.black_opts + self.white_opts
         self.total = 1
+        places = []
         for o in self.opts:
+            places.append(_place(o, self.total) if len(o) > 1 else None)
             self.total *= len(o)
+        nblack = len(self.black_opts)
+        # vertices with a single rotation add 0 to every rank
+        self._black_places = [p for p in places[:nblack] if p]
+        self._white_places = [p for p in places[nblack:] if p]
+
+    def rank(self, s, t):
+        """The stream index of the pair of 0-based tables (s, t).
+
+        Raises KeyError when the labels at some vertex do not form one of
+        its rotations, that is, when (s, t) is not in the family.
+        """
+        index = 0
+        for get, d in self._black_places:
+            index += d[get(s)]
+        for get, d in self._white_places:
+            index += d[get(t)]
+        return index
 
     def digits(self, index):
         out = []
@@ -66,6 +88,20 @@ class _Radix:
             out.append(index % len(o))
             index //= len(o)
         return out
+
+
+def _place(opts, radix):
+    """One vertex's term of the rank: (getter, images -> digit * radix).
+
+    The getter reads the 0-based images of the vertex's labels, which name
+    its rotation; the vertex has at least three labels, so it is a tuple.
+    """
+    labels = sorted(opts[0])
+    table = {}
+    for digit, cycle in enumerate(opts):
+        succ = {a: b for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+        table[tuple(succ[l] - 1 for l in labels)] = digit * radix
+    return itemgetter(*(l - 1 for l in labels)), table
 
 
 def _apply_cycle(table, cycle):
@@ -125,18 +161,14 @@ def chunk(graph, chunk_index, chunk_count):
         raise ValueError(
             f"chunk_index {chunk_index} outside 0..{chunk_count - 1}"
         )
-    total = graph.candidate_count()
-    start = chunk_index * total // chunk_count
-    stop = (chunk_index + 1) * total // chunk_count
-    return _pair_stream(graph, start, stop)
+    return _pair_stream(
+        graph, *chunk_bounds(graph.candidate_count(), chunk_index, chunk_count)
+    )
 
 
-def chunk_bounds(total, chunk_count):
-    """The slice boundaries used by ``chunk``."""
-    return [
-        (i * total // chunk_count, (i + 1) * total // chunk_count)
-        for i in range(chunk_count)
-    ]
+def chunk_bounds(total, chunk_index, chunk_count):
+    """(start, stop) of the chunk_index-th of chunk_count slices of range(total)."""
+    return chunk_index * total // chunk_count, (chunk_index + 1) * total // chunk_count
 
 
 def membership_failure(graph, sigma, tau):

@@ -1,21 +1,25 @@
-import random
-
 import pytest
 
 from dessins import (
     PermGroup,
+    Permutation,
     act,
     automorphism_group,
     canonical_form,
     classify,
+    compose,
     conjugate,
+    cycle_type,
     enumerate_pairs,
     group_from_generators,
+    local_rotations,
+    parse_bipartite,
     parse_cycles,
     serialize_report,
     stabilizer,
     wilson_orbit_targets,
     BudgetExceededError,
+    InternalInvariantError,
 )
 from dessins.rotation import RotationPair, membership_failure
 
@@ -30,17 +34,25 @@ def P(s, n):
 def test_act_identity_and_axiom(k33_report):
     graph = k33_report.graph
     group = automorphism_group(graph)
-    pair = next(iter(enumerate_pairs(graph)))
+    elems = list(group.theta.elements())
+    # on a pair with trivial stabilizer, conjugating by g and by g^-1 differ
+    # for every g of order > 2, and so do a right and a left action
+    [rec] = [r for r in k33_report.records if r.orbit_length == len(elems)]
+    pair = rec.representative
     ident = P("()", 9)
     same = act(ident, pair)
     assert (same.sigma, same.tau) == (pair.sigma, pair.tau)
-    elems = list(group.theta.elements())
-    rng = random.Random(13)
-    for _ in range(50):
-        g, h = rng.choice(elems), rng.choice(elems)
-        lhs = act(g * h, pair)
-        rhs = act(h, act(g, pair))
-        assert (lhs.sigma, lhs.tau) == (rhs.sigma, rhs.tau)
+    for g in elems:
+        image = act(g, pair)
+        gi = g.inverse()
+        assert (image.sigma, image.tau) == (
+            compose(compose(gi, pair.sigma), g),
+            compose(compose(gi, pair.tau), g),
+        )
+        for h in elems:
+            lhs = act(g * h, pair)
+            rhs = act(h, image)
+            assert (lhs.sigma, lhs.tau) == (rhs.sigma, rhs.tau)
 
 
 def test_act_stays_in_family(k33_report):
@@ -195,12 +207,57 @@ def test_orbit_stabilizer_everywhere(a4_report, k33_report, d33_report,
             assert rec.orbit_length * rec.aut_order == n
 
 
+def test_bundle7_census_matches_burnside():
+    """One black and one white vertex joined by 7 parallel edges.
+
+    N = 6! * 6! = 518400 pairs and |G| = 7! = 5040: the N * |G| conjugations
+    of a per-pair canonicalization would take many minutes.
+    """
+    graph = parse_bipartite(
+        "black b\nwhite w\n" + "".join(f"edge {i} b w\n" for i in range(1, 8))
+    )
+    report = classify(graph, with_monodromy=False)
+    assert (report.candidate_count, report.group_order) == (518400, 5040)
+    assert sum(r.orbit_length for r in report.records) == report.candidate_count
+
+    def rotations(vertex):
+        out = []
+        for rot in local_rotations(graph, vertex):
+            images = [0] * graph.e
+            for a, b in zip(rot.cycle, rot.cycle[1:] + rot.cycle[:1]):
+                images[a - 1] = b
+            out.append(Permutation(images))
+        return out
+
+    sigmas, taus = rotations("b"), rotations("w")
+    # Burnside: orbits = sum over g of (fixed sigma) * (fixed tau) / |G|.  A
+    # fixed count is a class function, and in G = S_7 the conjugacy classes
+    # are the cycle types.
+    elems = list(automorphism_group(graph).theta.elements())
+    assert len(elems) == 5040
+    by_type = {}
+    fixed = 0
+    for g in elems:
+        ct = tuple(cycle_type(g))
+        if ct not in by_type:
+            by_type[ct] = sum(conjugate(s, g) == s for s in sigmas) * sum(
+                conjugate(t, g) == t for t in taus
+            )
+        fixed += by_type[ct]
+    assert fixed % len(elems) == 0
+    assert len(report.records) == fixed // len(elems) == 108
+
+
 def test_reports_identical_across_thread_counts():
     for name in ("a4_clean.bg", "k33.bg", "d33.bg"):
         graph = load_bipartite(name)
         solo = serialize_report(classify(graph, threads=1), "json")
         multi = serialize_report(classify(graph, threads=3), "json")
         assert solo == multi
+    # 1042 orbits, whose monodromy phase is split between two workers
+    graph = load_bipartite("double_prism.bg")
+    solo = serialize_report(classify(graph, threads=1), "json")
+    assert serialize_report(classify(graph, threads=2), "json") == solo
 
 
 def test_census_pool_bounded_by_cores_and_chunks(monkeypatch):
@@ -224,14 +281,24 @@ def test_census_pool_bounded_by_cores_and_chunks(monkeypatch):
             return [fn(job) for job in jobs]
 
     monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InlinePool)
-    graph = load_bipartite("a4_clean.bg")  # 16 candidate pairs
-    solo = serialize_report(classify(graph, threads=1), "json")
+    graph = load_bipartite("a4_clean.bg")
+    # 16 candidate pairs, each its own orbit: at most 16 monodromy workers
+    trivial = PermGroup([], degree=graph.e)
+    solo = serialize_report(classify(graph, threads=1, group=trivial), "json")
     for cores, threads, expected in ((8, 50000, [8]), (64, 50000, [16]),
                                      (8, 3, [3]), (None, 50000, []), (1, 4, [])):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         sizes.clear()
-        assert serialize_report(classify(graph, threads=threads), "json") == solo
+        report = classify(graph, threads=threads, group=trivial)
+        assert serialize_report(report, "json") == solo
         assert sizes == expected
+    # without monodromy groups nothing is worth a fork
+    for cores in (8, 64):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        for threads in (2, 3, 50000):
+            sizes.clear()
+            classify(graph, threads=threads, group=trivial, with_monodromy=False)
+            assert sizes == []
 
 
 def test_budget_refusal():
@@ -247,6 +314,14 @@ def test_group_override_trivial():
     report = classify(graph, group=trivial)
     assert len(report.records) == 64
     assert all(r.orbit_length == 1 for r in report.records)
+
+
+def test_group_override_that_leaves_the_family_is_refused():
+    graph = load_bipartite("k33.bg")
+    # labels 1 and 4 sit at different black vertices: not an automorphism
+    bogus = PermGroup([P("(1,4)", 9)])
+    with pytest.raises(InternalInvariantError, match="left the family"):
+        classify(graph, group=bogus, with_monodromy=False)
 
 
 def test_wilson_targets_fix_each_orbit(k33_report):
