@@ -28,10 +28,8 @@ from .bgraph import (
 from .rotation import (
     LocalRotation,
     RotationPair,
-    chunk,
     enumerate_pairs,
     local_rotations,
-    pair_in_family,
 )
 from .dessin import (
     DessinInvariants,

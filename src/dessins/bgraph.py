@@ -134,9 +134,6 @@ class BipartiteGraph:
             n *= factorial(len(self.white_labels[v]) - 1)
         return n
 
-    def is_clean(self):
-        return all(len(v) == 2 for v in self.white_labels.values())
-
     def __repr__(self):
         return f"BipartiteGraph(e={self.e}, passport={self.passport()})"
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 from .bgraph import BipartiteGraph, EdgeActionGroup, automorphism_group
 from .dessin import invariants, dualizable_oracle, wilson
-from .perm import Permutation, _IDENT256, _invert
-from .permgroup import PermGroup, DEFAULT_ELEMENTS_CAP
+from .perm import Permutation, _IDENT256, _invert, format_cycles
+from .permgroup import PermGroup
 from .rotation import RotationPair, _Radix, _pair_stream, chunk_bounds
 
 DEFAULT_BUDGET = 10**7
@@ -144,30 +144,48 @@ def act(phi_edge, pair):
     return _pair_from_tables(s, t, pair.graph)
 
 
-def canonical_form(pair, group, cap=DEFAULT_ELEMENTS_CAP):
+def canonical_form(pair, group):
     """The lexicographically least conjugate pair; constant on each orbit."""
-    action = _Action(_theta(group).elements(cap), pair.sigma.degree)
+    action = _Action(_theta(group).elements(), pair.sigma.degree)
     s, t = action.least(pair.sigma._table, pair.tau._table)
     return _pair_from_tables(s, t, pair.graph)
 
 
-def stabilizer(pair, group, cap=DEFAULT_ELEMENTS_CAP):
+def stabilizer(pair, group):
     """Elements of the edge-action group fixing the pair, as a group."""
-    action = _Action(_theta(group).elements(cap), pair.sigma.degree)
+    action = _Action(_theta(group).elements(), pair.sigma.degree)
     return action.stabilizer(pair.sigma._table, pair.tau._table)
 
 
 # -- census by orbit marking -------------------------------------------------
 
-def _orbit_census(graph, action):
+def _check_keeps_family(graph, theta):
+    """Refuse a group whose conjugation leaves the rotation family.
+
+    Conjugating by g carries a cycle on the labels L to one on g(L), so the
+    family is kept exactly when every generator maps each vertex's label
+    set onto a label set of the same colour.  The census cannot see this at
+    vertices with a single rotation, since ranks do not read their labels.
+    """
+    for labels in (graph.black_labels, graph.white_labels):
+        blocks = {frozenset(ls) for ls in labels.values()}
+        for g in theta.generators:
+            for vertex, ls in labels.items():
+                if frozenset(g(l) for l in ls) not in blocks:
+                    raise InternalInvariantError(
+                        f"the group left the family: {format_cycles(g)} maps the "
+                        f"labels of vertex {vertex!r} to no vertex of its colour"
+                    )
+
+
+def _orbit_census(radix, action):
     """Representative tables -> (orbit length, stabilizer order, generators).
 
     The generators are the stabilizer's elements other than the identity.
     """
-    radix = _Radix(graph)
     marked = bytearray(radix.total)
     census = {}
-    for index, (s, t) in enumerate(_pair_stream(graph, 0, radix.total, raw=True)):
+    for index, (s, t) in enumerate(_pair_stream(radix, 0, radix.total, raw=True)):
         if marked[index]:
             continue
         images = action.pair_images(s, t)
@@ -219,7 +237,6 @@ def classify(
     *,
     threads=1,
     budget=DEFAULT_BUDGET,
-    elements_cap=DEFAULT_ELEMENTS_CAP,
     duality_oracle=False,
     group=None,
     with_monodromy=True,
@@ -238,17 +255,11 @@ def classify(
     if group is None:
         group = automorphism_group(graph)
     theta = _theta(group)
-    action = _Action(theta.elements(elements_cap), graph.e)
+    action = _Action(theta.elements(), graph.e)
     group_order = len(action.elems)
+    _check_keeps_family(graph, theta)
 
-    # white degrees <= 2 leave a single tau, which every automorphism fixes;
-    # ranks do not read vertices with a single rotation, so check it here
-    first = next(_pair_stream(graph, 0, 1, raw=True))
-    tau_fixed = all(len(labels) <= 2 for labels in graph.white_labels.values())
-    if tau_fixed and any(t != first[1] for t in action.images(first[1])):
-        raise InternalInvariantError("unique tau moved by the group")
-
-    census = _orbit_census(graph, action)
+    census = _orbit_census(_Radix(graph), action)
 
     key_to_orbit = {key: i for i, key in enumerate(sorted(census))}
     pairs = [_pair_from_tables(*key, graph) for key in key_to_orbit]
@@ -262,7 +273,7 @@ def classify(
                 f"{orbit_length} * {aut_order} != {group_order}"
             )
         if duality_oracle:
-            oracle = dualizable_oracle(pair, cap=elements_cap)
+            oracle = dualizable_oracle(pair)
             if oracle != inv.dualizable:
                 raise InternalInvariantError(
                     f"duality oracle disagrees at orbit {orbit_id}"
@@ -309,10 +320,10 @@ def classify(
     )
 
 
-def wilson_orbit_targets(report, r, s, cap=DEFAULT_ELEMENTS_CAP):
+def wilson_orbit_targets(report, r, s):
     """Map each orbit to the orbit hit by the (r, s) power operation."""
     e = report.graph.e
-    action = _Action(report.theta.elements(cap), e)
+    action = _Action(report.theta.elements(), e)
     key_to_orbit = {
         (
             rec.representative.sigma._table[:e],

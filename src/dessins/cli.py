@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import gcd
 
 from .bgraph import GraphParseError, automorphism_group, parse_bipartite, parse_plain
 from .classify import (
@@ -61,6 +62,16 @@ def _budget(args, fallback):
 
 def cmd_classify(args, out, err):
     graph = parse_bipartite(_read(args.graph))
+    if args.wilson:
+        try:
+            r, s = (int(x) for x in args.wilson.split(","))
+        except ValueError:
+            raise GraphParseError(f"--wilson expects 'r,s', got {args.wilson!r}")
+        for x, side, labels in ((r, "black", graph.black_labels),
+                                (s, "white", graph.white_labels)):
+            if x < 1 or any(gcd(x, len(ls)) != 1 for ls in labels.values()):
+                raise GraphParseError(f"--wilson {args.wilson}: {x} is not a "
+                                      f"positive exponent prime to every {side} degree")
     threads = args.threads if args.threads else os.cpu_count() or 1
     report = classify(
         graph,
@@ -68,14 +79,7 @@ def cmd_classify(args, out, err):
         budget=_budget(args, DEFAULT_BUDGET),
         duality_oracle=args.duality,
     )
-    wilson_targets = None
-    if args.wilson:
-        try:
-            r, s = (int(x) for x in args.wilson.split(","))
-        except ValueError:
-            raise GraphParseError(f"--wilson expects 'r,s', got {args.wilson!r}")
-        targets = wilson_orbit_targets(report, r, s)
-        wilson_targets = (r, s, targets)
+    wilson_targets = (r, s, wilson_orbit_targets(report, r, s)) if args.wilson else None
     out.write(serialize_document(build_document(report, wilson_targets), args.emit))
     if args.duality:
         err.write(f"duality oracle agreed on {len(report.records)} records\n")

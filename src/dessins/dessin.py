@@ -149,7 +149,7 @@ def is_dualizable(pair):
     return all(c >= 0 for c in color)
 
 
-def dualizable_oracle(pair, cap=DEFAULT_ELEMENTS_CAP):
+def dualizable_oracle(pair):
     """Literal check of the sign-character criterion by group enumeration.
 
     Breadth-first closure of {sigma, tau} assigns each monodromy element the
@@ -164,9 +164,9 @@ def dualizable_oracle(pair, cap=DEFAULT_ELEMENTS_CAP):
     parity = {ident: 0}
     frontier = [ident]
     while frontier:
-        if len(parity) > cap:
+        if len(parity) > DEFAULT_ELEMENTS_CAP:
             raise CapExceededError(
-                f"monodromy group exceeds oracle cap {cap}"
+                f"monodromy group exceeds oracle cap {DEFAULT_ELEMENTS_CAP}"
             )
         nxt = []
         for g in frontier:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .bgraph import cleanify
 from .perm import Permutation
-from .rotation import _pair_stream
+from .rotation import _Radix, _pair_stream
 
 DEFAULT_GENUS_BUDGET = 10**7
 
@@ -68,7 +68,7 @@ def _scan(plain, budget):
     best = {}
     tau_bytes = None
     pad = bytes(range(n, 256))
-    for sigma, tau in _pair_stream(clean, 0, total, raw=True):
+    for sigma, tau in _pair_stream(_Radix(clean), 0, total, raw=True):
         if tau_bytes is None:
             tau_bytes = tau
         gamma = _cycle_count(tau.translate(sigma + pad))

@@ -7,8 +7,6 @@ is therefore ``compose(tau, sigma)``.
 
 from __future__ import annotations
 
-import itertools
-
 _IDENT256 = bytes(range(256))
 
 MAX_DEGREE = 255  # images are cached as bytes so labels must fit in one byte
@@ -130,11 +128,8 @@ class Permutation:
     def inverse(self):
         return Permutation._from_table(_invert(self._table, self.degree), self.degree)
 
-    def conjugate(self, g):
-        return conjugate(self, g)
-
-    def cycles(self, include_fixed=False):
-        """Disjoint cycles, each starting at its least label, sorted by least label."""
+    def cycles(self):
+        """Cycles of length > 1, each from its least label, sorted by least label."""
         table = self._table
         seen = [False] * self.degree
         out = []
@@ -148,12 +143,9 @@ class Permutation:
                 cyc.append(nxt + 1)
                 seen[nxt] = True
                 nxt = table[nxt]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
-
-    def cycle_type(self):
-        return cycle_type(self)
 
     def is_even(self):
         return is_even(self)
@@ -284,9 +276,3 @@ def random_permutation(degree, rng):
     images = list(range(1, degree + 1))
     rng.shuffle(images)
     return Permutation(images)
-
-
-def all_permutations(degree):
-    """Every permutation of the given degree, in lexicographic image order."""
-    for images in itertools.permutations(range(1, degree + 1)):
-        yield Permutation(images)

@@ -7,16 +7,17 @@ points are always the smallest labels not fixed so far, which makes orders,
 transversals and element streams reproducible run to run.
 
 ``PermGroup.order`` first tries to certify that the group is a giant, the
-alternating or symmetric group on all points, by Jordan's theorem (see
-``_jordan_order``); only groups it does not certify get a Schreier-Sims
-build.
+alternating or symmetric group on all points: a transitive group of degree
+n in which a fixed word has a cycle of prime length p, n/2 < p <= n - 3,
+is primitive, so Jordan's theorem applies (see ``_jordan_order``).  Only
+groups it does not certify get a Schreier-Sims build.
 """
 
 from __future__ import annotations
 
 from math import factorial
 
-from .perm import Permutation, _IDENT256, _invert, compose, cycle_type, identity
+from .perm import Permutation, _IDENT256, _invert
 
 DEFAULT_ELEMENTS_CAP = 10**6
 
@@ -36,75 +37,44 @@ def _is_prime(n):
     return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 
-def _is_primitive(tables, degree):
-    """Atkinson's minimal-block test for a transitive group.
-
-    For each point beta other than 0, close {0, beta} under the generators
-    with a union-find: whenever a and b are joined, g(a) and g(b) are joined
-    for every generator g.  The result is the finest invariant partition
-    with 0 and beta in one block, so the group is primitive exactly when
-    every closure is the whole set (Atkinson, Math. Comp. 1975).
-    """
-    whole = degree - 1  # joins that leave a single block
-    for beta in range(1, degree):
-        parent = list(range(degree))
-        parent[beta] = 0
-        joins = 1
-        pairs = [0, beta]
-        qi = 0
-        while joins < whole and qi < len(pairs):
-            a, b = pairs[qi], pairs[qi + 1]
-            qi += 2
-            for t in tables:
-                x = ta = t[a]
-                while parent[x] != x:
-                    x = parent[x]
-                y = tb = t[b]
-                while parent[y] != y:
-                    y = parent[y]
-                if x != y:
-                    parent[y] = x
-                    joins += 1
-                    pairs += (ta, tb)
-        if joins < whole:
-            return False
-    return True
-
-
 def _certificate_words(generators):
-    """A fixed list of ``CERTIFICATE_WORDS`` words in the generators.
+    """A fixed list of ``CERTIFICATE_WORDS`` words in the generators, as tables.
 
     Product replacement on a fixed schedule: the slots start as the
-    generators, repeated cyclically; step j replaces slot i by the product
-    of slots i and l, for the j-th pair of a fixed cycle through the
-    ordered pairs of distinct slots, and the word is a running product of
-    the new slots.
+    generators' tables, repeated cyclically; step j replaces slot i by the
+    product of slots i and l for the j-th pair of a fixed cycle through the
+    ordered pairs of distinct slots, then multiplies the word by the new slot.
     """
-    slots = [generators[i % len(generators)]
+    slots = [generators[i % len(generators)]._table
              for i in range(max(CERTIFICATE_SLOTS, len(generators)))]
     n = len(slots)
     schedule = [(i, (i + d) % n) for d in range(1, n) for i in range(n)]
-    word = identity(generators[0].degree)
+    word = _IDENT256
     for j in range(CERTIFICATE_WORDS):
         i, l = schedule[j % len(schedule)]
-        slots[i] = compose(slots[i], slots[l])
-        word = compose(word, slots[i])
+        slots[i] = slots[i].translate(slots[l])
+        word = word.translate(slots[i])
         yield word
 
 
-def _has_prime_cycle_power(word):
-    """Whether a power of ``word`` is a p-cycle with p prime and p <= n - 3.
-
-    That holds when exactly one cycle length is divisible by p and that
-    length is p: the word raised to the lcm of the other lengths, which is
-    prime to p, is then the p-cycle.
-    """
-    lengths = cycle_type(word).lengths
-    limit = word.degree - 3
-    return any(
-        p <= limit and _is_prime(p) and sum(1 for m in lengths if m % p == 0) == 1
-        for p in set(lengths)
-    )
+def _has_cycle_of_length(table, degree, lengths):
+    """Whether the permutation ``table`` has a cycle with length in ``lengths``."""
+    shortest = min(lengths)
+    seen = bytearray(degree)
+    unseen = degree
+    for i in range(degree):
+        if unseen < shortest:
+            break
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = 1
+            j = table[j]
+            length += 1
+        if length in lengths:
+            return True
+        unseen -= length
+    return False
 
 
 def _jordan_order(group):
@@ -112,19 +82,26 @@ def _jordan_order(group):
 
     Jordan's theorem: a primitive group of degree n that contains a p-cycle,
     p prime and p <= n - 3, contains the alternating group A_n.  The
-    certificate checks transitivity, primitivity by Atkinson's test and
-    searches a fixed list of words for a power that is such a p-cycle; the
-    order is then n! when some generator is odd and n!/2 otherwise.  Any
+    certificate asks for a transitive group and a word, from a fixed list,
+    with a cycle whose length is a prime p with n/2 < p <= n - 3 (Seress,
+    *Permutation Group Algorithms*, CUP 2003, 10.2).  Since 2p > n, that is
+    the word's only cycle with length divisible by p, so the word raised to
+    the lcm of its other cycle lengths is a p-cycle c.  The group is then
+    primitive: if c moves some block of a block system, it permutes the
+    blocks in a p-cycle, so there are more than n/2 blocks of one point
+    each; otherwise its support lies in one block, which has more than n/2
+    points and so is the whole set.  The order is n! when some generator is
+    odd and n!/2 otherwise.  No prime lies in that range below n = 8.  Any
     check that fails declines, never guesses.
     """
     n = group.degree
-    if n < 5 or not group.is_transitive():
+    primes = {p for p in range(n // 2 + 1, n - 2) if _is_prime(p)}
+    if not primes or not group.is_transitive():
         return None
-    if not _is_primitive([g._table for g in group.generators], n):
-        return None
-    if not any(_has_prime_cycle_power(w) for w in _certificate_words(group.generators)):
-        return None
-    return factorial(n) // (2 if group.all_generators_even() else 1)
+    words = _certificate_words(group.generators)
+    if any(_has_cycle_of_length(w, n, primes) for w in words):
+        return factorial(n) // (2 if group.all_generators_even() else 1)
+    return None
 
 
 class _Level:

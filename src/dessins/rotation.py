@@ -4,8 +4,8 @@ The stream order is pinned: one mixed-radix counter over per-vertex rotation
 indices, black vertices varying fastest, each vertex's rotations in
 lexicographic order with the smallest incident label held first.  A pair's
 index in that order is its rank; ``_Radix.rank`` computes it from the
-pair's tables, and ``_pair_stream(graph, i, i + 1)`` unranks it.  Chunks
-split the counter range, so any partition of the index space replays the
+pair's tables, and ``_pair_stream(radix, i, i + 1)`` unranks it.  Any
+partition of the index range into slices (``chunk_bounds``) replays the
 exact same pairs.
 """
 
@@ -109,12 +109,12 @@ def _apply_cycle(table, cycle):
         table[label - 1] = cycle[(i + 1) % len(cycle)] - 1
 
 
-def _pair_stream(graph, start, stop, raw=False):
-    radix = _Radix(graph)
+def _pair_stream(radix, start, stop, raw=False):
     if not (0 <= start <= stop <= radix.total):
         raise ValueError(f"range [{start}, {stop}) outside [0, {radix.total})")
     if start == stop:
         return
+    graph = radix.graph
     e = graph.e
     nblack = len(radix.black_opts)
     digits = radix.digits(start)
@@ -152,18 +152,7 @@ def _pair_stream(graph, start, stop, raw=False):
 
 def enumerate_pairs(graph):
     """All candidate_count(graph) rotation pairs, in the pinned order."""
-    return _pair_stream(graph, 0, graph.candidate_count())
-
-
-def chunk(graph, chunk_index, chunk_count):
-    """The chunk_index-th of chunk_count contiguous slices of the pair stream."""
-    if chunk_count < 1 or not 0 <= chunk_index < chunk_count:
-        raise ValueError(
-            f"chunk_index {chunk_index} outside 0..{chunk_count - 1}"
-        )
-    return _pair_stream(
-        graph, *chunk_bounds(graph.candidate_count(), chunk_index, chunk_count)
-    )
+    return _pair_stream(_Radix(graph), 0, graph.candidate_count())
 
 
 def chunk_bounds(total, chunk_index, chunk_count):
@@ -200,7 +189,3 @@ def _is_single_cycle(p, labels):
         seen.add(x)
         x = p(x)
     return x == start and seen == lset
-
-
-def pair_in_family(graph, sigma, tau):
-    return membership_failure(graph, sigma, tau) is None

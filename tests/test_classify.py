@@ -324,6 +324,20 @@ def test_group_override_that_leaves_the_family_is_refused():
         classify(graph, group=bogus, with_monodromy=False)
 
 
+def test_group_override_that_moves_a_single_rotation_vertex_is_refused():
+    # (1,2)(4,5,6,7) keeps every white label set and the black set {1,2,3}
+    # but maps the black set {4,5} onto labels of two black vertices; B2 and
+    # B3 have a single rotation each, so ranks do not read their labels
+    graph = parse_bipartite(
+        "black B1 B2 B3\nwhite W1 W2 W3\n"
+        "edge 1 B1 W1\nedge 2 B1 W2\nedge 3 B1 W3\nedge 4 B2 W1\n"
+        "edge 5 B2 W2\nedge 6 B3 W1\nedge 7 B3 W2\n"
+    )
+    bogus = PermGroup([P("(1,2)(4,5,6,7)", 7)])
+    with pytest.raises(InternalInvariantError, match="left the family"):
+        classify(graph, group=bogus, with_monodromy=False)
+
+
 def test_wilson_targets_fix_each_orbit(k33_report):
     # on this graph the power operations permute pairs inside each class
     for r, s in ((1, 1), (2, 1), (1, 2), (2, 2)):

@@ -79,6 +79,21 @@ def test_classify_wilson_flag():
         assert rec["wilson"] == {"r": 2, "s": 2, "target_orbit_id": rec["orbit_id"]}
 
 
+def test_classify_wilson_exponents_checked_before_classifying():
+    # a4_clean has white degree 2, so s = 2 is not coprime to it, and an
+    # exponent below 1 is no power operation; a budget that classify would
+    # refuse (exit 3) shows that the exponents are checked first
+    for exponents, fault in (("2,2", "2 is not a positive exponent prime to every white"),
+                             ("0,1", "0 is not a positive exponent prime to every black")):
+        code, out, err = run(["classify", fixture_path("a4_clean.bg"),
+                              "--wilson", exponents, "--budget", "1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --wilson {exponents}: ")
+        assert fault in err
+        assert err.count("\n") == 1
+
+
 def test_classify_duality_flag():
     code, out, err = run(["classify", fixture_path("d33.bg"), "--duality"])
     assert code == 0

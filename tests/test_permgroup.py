@@ -12,7 +12,7 @@ from dessins import (
     parse_cycles,
 )
 from dessins.perm import random_permutation
-from dessins.permgroup import _jordan_order
+from dessins.permgroup import _has_cycle_of_length, _jordan_order
 
 import corpus
 
@@ -248,10 +248,17 @@ def test_certified_orders_on_double_prism_sample(dp_report):
         (["(1,2,3,4,5,6,7)", "(2,4,3,7,5,6)"], 7, 42),
         # S_2 wr S_3 on the blocks {1,2},{3,4},{5,6}: holds a transposition
         (["(1,2)", "(1,3)(2,4)", "(1,3,5)(2,4,6)"], 6, 48),
-        # S_6 fixing 1: intransitive, yet every closure of {1, b} is whole
+        # S_6 fixing 1: intransitive, and of degree below 8
         (["(2,3,4,5,6,7)", "(2,3)"], 7, 720),
-        # S_4: degree below 5
+        # S_4: degree below 8
         (["(1,2,3,4)", "(1,2)"], 4, 24),
+        # AGL(1,11): x+1 and 2x; primitive, its 11-cycles have 11 > n - 3
+        (["(1,2,3,4,5,6,7,8,9,10,11)", "(2,3,5,9,6,11,10,8,4,7)"], 11, 110),
+        # S_4 wr S_2 on the blocks {1,2,3,4},{5,6,7,8}: imprimitive, holds
+        # 3-cycles, but no prime cycle longer than n/2
+        (["(1,2,3,4)", "(1,2)", "(1,5)(2,6)(3,7)(4,8)"], 8, 1152),
+        # S_7 fixing 1: intransitive, holds 5-cycles
+        (["(2,3,4,5,6,7,8)", "(2,3)"], 8, 5040),
     ],
 )
 def test_certificate_declines_non_giants(gens, n, order):
@@ -259,6 +266,13 @@ def test_certificate_declines_non_giants(gens, n, order):
     g = group_from_generators(gens)
     assert _jordan_order(g) is None
     assert g.order() == order == len(closure(gens)) == sympy_order(gens)
+
+
+def test_cycle_scan_reaches_a_last_cycle_of_eligible_length():
+    # the scan stops once fewer points are left than the shortest length
+    table = P("(1,2,3)(4,5,6,7,8)", 8)._table
+    assert _has_cycle_of_length(table, 8, {5})
+    assert not _has_cycle_of_length(table, 8, {6, 7})
 
 
 @pytest.mark.parametrize("n", range(5, 13))
@@ -273,25 +287,25 @@ def test_certified_alternating_and_symmetric(n):
     for gens, order in cases:
         gens = [P(s, n) for s in gens]
         g = group_from_generators(gens)
-        # A_5 on 5 points has no p-cycle with p <= 2, so Jordan cannot apply
-        certifiable = n > 5 or order == factorial(n)
-        assert _jordan_order(g) == (order if certifiable else None)
+        # below degree 8 no prime p has n/2 < p <= n - 3
+        assert _jordan_order(g) == (order if n >= 8 else None)
         assert g.order() == order == schreier_sims_order(gens)
         assert g.all_generators_even() == (order == factorial(n) // 2)
 
 
 def test_queries_after_certified_order():
-    gens = [P("(2,3,4,5,6)", 6), P("(1,2,3)", 6)]
+    gens = [P("(2,3,4,5,6,7,8)", 8), P("(1,2,3)", 8)]
     g = group_from_generators(gens)
-    assert g.order() == 360
+    assert g.order() == 20160
     assert g._levels is None  # answered by the certificate
     assert g.base() == PermGroup(gens).base()
-    assert g.contains(P("(1,4,2)", 6))
-    assert not g.contains(P("(1,2)", 6))
+    assert g.contains(P("(1,4,2)", 8))
+    assert not g.contains(P("(1,2)", 8))
     elems = list(g.elements())
-    assert len(elems) == 360
+    assert len(elems) == 20160
     assert set(elems) == closure(gens)
 
-    g = group_from_generators([P("(1,2,3,4,5)", 5), P("(1,2)", 5)])
-    assert g.order() == 120
-    assert len(set(g.elements())) == 120
+    g = group_from_generators([P("(1,2,3,4,5,6,7,8)", 8), P("(1,2)", 8)])
+    assert g.order() == 40320
+    assert g._levels is None
+    assert len(set(g.elements())) == 40320

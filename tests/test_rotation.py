@@ -2,14 +2,12 @@ import pytest
 
 from dessins import (
     enumerate_pairs,
-    chunk,
     local_rotations,
-    pair_in_family,
     parse_bipartite,
     parse_cycles,
     group_from_generators,
 )
-from dessins.rotation import membership_failure
+from dessins.rotation import _Radix, _pair_stream, chunk_bounds, membership_failure
 
 import corpus
 from conftest import load_bipartite
@@ -78,28 +76,34 @@ def test_every_pair_transitive():
             assert group_from_generators([p.sigma, p.tau]).is_transitive()
 
 
+def chunk(radix, chunk_index, chunk_count):
+    """The chunk_index-th of chunk_count contiguous slices of the pair stream."""
+    return _pair_stream(radix, *chunk_bounds(radix.total, chunk_index, chunk_count))
+
+
 def test_chunks_partition_the_stream():
     g = load_bipartite("a4_clean.bg")
+    radix = _Radix(g)
     whole = [(p.sigma, p.tau) for p in enumerate_pairs(g)]
-    assert [(p.sigma, p.tau) for p in chunk(g, 0, 1)] == whole
+    assert [(p.sigma, p.tau) for p in chunk(radix, 0, 1)] == whole
     rejoined = []
     for i in range(4):
-        rejoined.extend((p.sigma, p.tau) for p in chunk(g, i, 4))
+        rejoined.extend((p.sigma, p.tau) for p in chunk(radix, i, 4))
     assert rejoined == whole
 
 
 def test_chunk_sizes_balanced():
-    g = load_bipartite("k5_clean.bg")
-    sizes = [sum(1 for _ in chunk(g, i, 6)) for i in range(6)]
+    radix = _Radix(load_bipartite("k5_clean.bg"))
+    sizes = [sum(1 for _ in chunk(radix, i, 6)) for i in range(6)]
     assert sizes == [1296] * 6
 
 
-def test_chunk_bad_index():
-    g = load_bipartite("a4_clean.bg")
+def test_stream_range_outside_the_index_space_refused():
+    radix = _Radix(load_bipartite("a4_clean.bg"))
     with pytest.raises(ValueError):
-        list(chunk(g, 4, 4))
+        list(_pair_stream(radix, 0, radix.total + 1))
     with pytest.raises(ValueError):
-        list(chunk(g, -1, 4))
+        list(_pair_stream(radix, -1, 4))
 
 
 def test_membership_failure_reports_vertex():
@@ -111,4 +115,3 @@ def test_membership_failure_reports_vertex():
     broken = parse_cycles("(1,2,4)(3,5,6)(7,8,9)", 9)
     offender = membership_failure(g, broken, tau_bad)
     assert offender is not None
-    assert pair_in_family(g, sigma, tau_bad)
