@@ -90,16 +90,16 @@ def cmd_genus_range(args, out, err):
     plain = parse_plain(_read(args.graph))
     budget = _budget(args, DEFAULT_GENUS_BUDGET)
     result = genus_range(plain, budget=budget)
+    # a refused histogram leaves stdout empty, as a refused range does
+    hist = genus_histogram(plain, budget=budget) if args.histogram else {}
     out.write(f"mu: {result.mu}\n")
     out.write(f"nu: {result.nu}\n")
     out.write(f"gamma_max: {result.gamma_max}\n")
     out.write(f"gamma_min: {result.gamma_min}\n")
     out.write(f"witness_min_genus: {format_cycles(result.witness_min)}\n")
     out.write(f"witness_max_genus: {format_cycles(result.witness_max)}\n")
-    if args.histogram:
-        hist = genus_histogram(plain, budget=budget)
-        for genus, count in hist.items():
-            out.write(f"genus[{genus}]: {count}\n")
+    for genus, count in hist.items():
+        out.write(f"genus[{genus}]: {count}\n")
     return EXIT_OK
 
 
@@ -179,7 +179,8 @@ def build_parser():
 
     p = sub.add_parser("genus-range", help="minimum and maximum embedding genus of a plain graph")
     p.add_argument("graph", help="plain graph file (.g)")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="refuse a range search of more nodes, or a histogram of more systems, than this")
     p.add_argument("--histogram", action="store_true", help="also count rotation systems per genus")
     p.set_defaults(func=cmd_genus_range)
 

@@ -197,6 +197,37 @@ def test_genus_range_budget_exit():
     assert code == 3
 
 
+def test_genus_range_k6_and_refused_histogram():
+    code, out, err = run(["genus-range", fixture_path("k6.g")])
+    assert code == 0
+    assert (kv(out)["mu"], kv(out)["nu"]) == ("1", "5")
+    # the range is admitted, the histogram's 24^6 systems are not; nothing
+    # of the range is printed then
+    code, out, err = run(["genus-range", fixture_path("k6.g"), "--histogram"])
+    assert code == 3
+    assert out == ""
+    assert "rotation systems exceed budget" in err
+    code, out, err = run(["genus-range", fixture_path("k5.g"), "--budget", "10"])
+    assert "search nodes exceed budget 10" in err
+
+
+def test_python_m_dessins():
+    import os
+    import subprocess
+    import sys
+
+    import dessins
+
+    src = os.path.dirname(os.path.dirname(dessins.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dessins", "genus-range", fixture_path("k5.g")],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert kv(proc.stdout.decode())["mu"] == "1"
+
+
 def test_output_stable_across_hash_seeds():
     # report bytes must not depend on interpreter hash randomization
     import os

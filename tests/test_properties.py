@@ -4,7 +4,9 @@ The main oracle uses only the public ``act``: it closes each rotation pair
 under every group element to get the orbits, and counts fixed pairs for
 Burnside's lemma.  A second oracle canonicalizes every pair on its own
 and counts the pairs per canonical form.  The classification must agree
-with both.
+with both.  The last property holds the exact genus search of
+``graphgenus`` to the brute-force oracle of ``genus_oracle`` on random
+plain multigraphs.
 """
 
 from collections import Counter
@@ -13,15 +15,19 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from dessins import (
     BipartiteGraph,
+    PlainGraph,
     act,
     automorphism_group,
     canonical_form,
     classify,
+    cleanify,
     enumerate_pairs,
     mirror,
     stabilizer,
 )
 from dessins.rotation import _Radix, _pair_stream
+
+import genus_oracle
 
 # N * |G| act calls per Burnside count; keeps each example well under 0.1 s
 MAX_WORK = 3000
@@ -49,6 +55,25 @@ def small_graphs(draw):
     ))
     labels = draw(st.permutations(range(1, len(ends) + 1)))
     return BipartiteGraph(blacks, whites, [(l, b, w) for l, (b, w) in zip(labels, ends)])
+
+
+@st.composite
+def small_plain_graphs(draw):
+    """A connected multigraph with at most 7 edges, loops and parallel edges
+    allowed, vertices and labels shuffled."""
+    vertices = ["v0"]
+    ends = []
+    for i in range(1, draw(st.integers(1, 5))):
+        ends.append((draw(st.sampled_from(vertices)), f"v{i}"))
+        vertices.append(f"v{i}")
+    ends += draw(st.lists(
+        st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+        min_size=0 if ends else 1,
+        max_size=7 - len(ends),
+    ))
+    labels = draw(st.permutations(range(1, len(ends) + 1)))
+    return PlainGraph(draw(st.permutations(vertices)),
+                      [(l, u, v) for l, (u, v) in zip(labels, ends)])
 
 
 def key(pair):
@@ -140,3 +165,10 @@ def test_marking_census_agrees_with_per_pair_canonicalization(graph):
     for rec in records:
         assert rec.orbit_length == lengths[key(rec.representative)]
         assert rec.aut_generators == stabilizer(rec.representative, group).generators
+
+
+@settings(seeded, max_examples=200)
+@given(small_plain_graphs())
+def test_genus_search_agrees_with_brute_force(plain):
+    assume(cleanify(plain).candidate_count() <= MAX_WORK)
+    assert genus_oracle.search(plain) == genus_oracle.brute_force(plain)
