@@ -196,7 +196,7 @@ def _parse_file(text, kinds):
                 raise GraphParseError(f"line {lineno}: '{kind}' needs at least one id")
             ids[kind].extend(args)
         elif len(args) == 3:
-            if not args[0].isdigit():
+            if not args[0].isdecimal():
                 raise GraphParseError(
                     f"line {lineno}: edge label {args[0]!r} is not an integer"
                 )

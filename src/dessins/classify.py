@@ -4,14 +4,14 @@ Two pairs define isomorphic dessins exactly when some edge-acting graph
 automorphism conjugates one to the other, so the isomorphism classes are
 the orbits of the edge-action group G.  The census is orderly orbit
 enumeration in the spirit of McKay, "Isomorph-free exhaustive generation"
-(J. Algorithms 1998): it walks the pinned pair stream once and keeps one
-mark per stream rank.  At each unmarked pair it takes the
-lexicographically least conjugate as the orbit's representative,
-conjugates the representative by every element of G and marks the rank of
-each image.  The images equal to the representative give its stabilizer,
-the dessin's orientation-preserving automorphism group.  The work is N
-stream steps and N ranks plus orbits * |G| conjugations, in N bytes of
-marks.
+(J. Algorithms 1998): it keeps one mark per stream rank and jumps from
+each unmarked rank to the next (``bytearray.find``), unranking only the
+pair found there.  It takes that pair's lexicographically least conjugate
+as the orbit's representative, conjugates the representative by every
+element of G and marks the rank of each image.  The images equal to the
+representative give its stabilizer, the dessin's orientation-preserving
+automorphism group.  The work is a scan of N bytes of marks, one unrank
+per orbit, N ranks and orbits * |G| conjugations.
 
 When the monodromy groups are wanted, their Schreier-Sims builds dominate,
 so the per-orbit invariants run in a fork pool over contiguous chunks of
@@ -28,7 +28,7 @@ from .bgraph import BipartiteGraph, EdgeActionGroup, automorphism_group
 from .dessin import invariants, dualizable_oracle, wilson
 from .perm import Permutation, _IDENT256, _invert, format_cycles
 from .permgroup import PermGroup
-from .rotation import RotationPair, _Radix, _pair_stream, chunk_bounds
+from .rotation import RotationPair, _Radix, _pair_from_tables, chunk_bounds
 
 DEFAULT_BUDGET = 10**7
 
@@ -129,13 +129,6 @@ def _theta(group):
     return group.theta if isinstance(group, EdgeActionGroup) else group
 
 
-def _pair_from_tables(s, t, graph):
-    e = len(s)
-    return RotationPair(
-        Permutation._from_table(s, e), Permutation._from_table(t, e), graph
-    )
-
-
 def act(phi_edge, pair):
     """Conjugate both rotations by an edge-acting automorphism."""
     action = _Action([phi_edge], pair.sigma.degree)
@@ -185,9 +178,9 @@ def _orbit_census(radix, action):
     """
     marked = bytearray(radix.total)
     census = {}
-    for index, (s, t) in enumerate(_pair_stream(radix, 0, radix.total, raw=True)):
-        if marked[index]:
-            continue
+    index = 0
+    while index >= 0:
+        s, t = radix.unrank(index)
         images = action.pair_images(s, t)
         rep = min(images)
         if rep != (s, t):  # the stabilizer is read off rep's own conjugates
@@ -206,6 +199,7 @@ def _orbit_census(radix, action):
         if not marked[index]:
             raise InternalInvariantError(f"pair {index} missing from its own orbit")
         census[rep] = (len(orbit), *action.fixing(images, rep))
+        index = marked.find(0, index + 1)
     return census
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .bgraph import _format_degrees
-from .perm import compose, cycle_type, is_even
+from .perm import compose, cycle_type
 from .permgroup import PermGroup, CapExceededError, DEFAULT_ELEMENTS_CAP
 from .rotation import RotationPair
 
@@ -83,9 +83,9 @@ def invariants(pair, with_monodromy=True):
             "sigma and tau do not generate a transitive group; "
             "the underlying graph is disconnected"
         )
-    black = tuple(sorted(cycle_type(sigma)))
-    white = tuple(sorted(cycle_type(tau)))
-    faces = tuple(sorted(cycle_type(face_permutation(pair))))
+    black = cycle_type(sigma).lengths
+    white = cycle_type(tau).lengths
+    faces = cycle_type(face_permutation(pair)).lengths
     alpha, beta, gamma = len(black), len(white), len(faces)
     euler = e - alpha - beta - gamma
     if euler % 2:
@@ -96,11 +96,14 @@ def invariants(pair, with_monodromy=True):
     order = fingerprint = regular = None
     if with_monodromy:
         order = group.order()
+        # a permutation of e points with c cycles has parity e - c; the group
+        # is transitive, so a point's stabilizer has index e
+        odd = (e - alpha) % 2 + (e - beta) % 2
         fingerprint = MonodromyFingerprint(
             order=order,
-            all_generators_even=group.all_generators_even(),
-            point_stabilizer_order=group.point_stabilizer_order(1),
-            odd_generators=sum(1 for g in (sigma, tau) if not is_even(g)),
+            all_generators_even=odd == 0,
+            point_stabilizer_order=order // e,
+            odd_generators=odd,
         )
         regular = order == e
     return DessinInvariants(

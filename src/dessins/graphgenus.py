@@ -22,12 +22,12 @@ and closed faces + 1 from below.
 fewest faces, and prunes every subtree whose bound cannot strictly beat
 the best leaf so far (faces move in steps of 2).  Levels run from the last
 black vertex outermost, rotations in increasing order, which visits the
-leaves in the order of ``rotation._pair_stream``; so each witness is the
-first rotation system of the stream that reaches its optimum.  A search
-stops at its a priori bound: every face of a graph with a cycle is at
-least girth long, so gamma <= 2e / girth, and gamma >= 1 (or 2, by
-parity).  Its budget counts search nodes, one per local rotation tried at
-any level.
+leaves in rank order, the pinned stream order of ``rotation``; so each
+witness is the first rotation system of the stream that reaches its
+optimum.  A search stops at its a priori bound: every face of a graph
+with a cycle is at least girth long, so gamma <= 2e / girth, and
+gamma >= 1 (or 2, by parity).  Its budget counts search nodes, one per
+local rotation tried at any level.
 
 ``genus_histogram`` visits every leaf, with a vertex w of largest degree
 innermost.  Once every other vertex is fixed, the open paths run from the

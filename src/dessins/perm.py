@@ -236,7 +236,7 @@ def parse_cycles(text, degree):
         while True:
             pos = skip_ws(pos)
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos].isdecimal():
                 pos += 1
             if pos == start:
                 raise CycleParseError("expected a label", pos)

@@ -1,12 +1,13 @@
-"""Streaming enumeration of all rotation-system pairs (sigma, tau) of a graph.
+"""All rotation-system pairs (sigma, tau) of a graph, by rank.
 
 The stream order is pinned: one mixed-radix counter over per-vertex rotation
 indices, black vertices varying fastest, each vertex's rotations in
 lexicographic order with the smallest incident label held first.  A pair's
-index in that order is its rank; ``_Radix.rank`` computes it from the
-pair's tables, and ``_pair_stream(radix, i, i + 1)`` unranks it.  Any
-partition of the index range into slices (``chunk_bounds``) replays the
-exact same pairs.
+index in that order is its rank.  ``_Radix.rank`` computes it from the
+pair's tables and ``_Radix.unrank`` inverts it (Knuth, TAOCP 4A,
+7.2.1.1), with one ``divmod`` and one ``bytes.translate`` per vertex that
+has a choice of rotation; so any index, or any slice of the index range
+(``chunk_bounds``), gives the same pairs as the whole stream.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .perm import Permutation
+from .perm import Permutation, _IDENT256
 
 
 @dataclass(frozen=True)
@@ -55,19 +56,23 @@ class _Radix:
     """Per-vertex rotation tables and the mixed-radix pair indexing."""
 
     def __init__(self, graph):
-        self.graph = graph
-        self.black_opts = [_cycles_at(graph.black_labels[v]) for v in graph.blacks]
-        self.white_opts = [_cycles_at(graph.white_labels[v]) for v in graph.whites]
-        self.opts = self.black_opts + self.white_opts
+        base = (bytearray(range(graph.e)), bytearray(range(graph.e)))
+        places = ([], [])
+        self._digits = []
         self.total = 1
-        places = []
-        for o in self.opts:
-            places.append(_place(o, self.total) if len(o) > 1 else None)
-            self.total *= len(o)
-        nblack = len(self.black_opts)
-        # vertices with a single rotation add 0 to every rank
-        self._black_places = [p for p in places[:nblack] if p]
-        self._white_places = [p for p in places[nblack:] if p]
+        sides = ((graph.blacks, graph.black_labels), (graph.whites, graph.white_labels))
+        for side, (vertices, labels) in enumerate(sides):
+            for v in vertices:
+                opts = _cycles_at(labels[v])
+                if len(opts) == 1:  # adds 0 to every rank
+                    _apply_cycle(base[side], opts[0])
+                    continue
+                get, terms, tables = _place(opts, self.total)
+                places[side].append((get, terms))
+                self._digits.append((len(opts), side, tables))
+                self.total *= len(opts)
+        self._base = tuple(bytes(b) for b in base)
+        self._black_places, self._white_places = places
 
     def rank(self, s, t):
         """The stream index of the pair of 0-based tables (s, t).
@@ -82,26 +87,33 @@ class _Radix:
             index += d[get(t)]
         return index
 
-    def digits(self, index):
-        out = []
-        for o in self.opts:
-            out.append(index % len(o))
-            index //= len(o)
-        return out
+    def unrank(self, index):
+        """The pair of 0-based ``e``-byte tables at a stream index."""
+        if not 0 <= index < self.total:
+            raise ValueError(f"index {index} outside [0, {self.total})")
+        pair = list(self._base)
+        for radix, side, tables in self._digits:
+            index, digit = divmod(index, radix)
+            pair[side] = pair[side].translate(tables[digit])
+        return pair[0], pair[1]
 
 
 def _place(opts, radix):
-    """One vertex's term of the rank: (getter, images -> digit * radix).
+    """One vertex's rank term and its rotations as 256-byte tables.
 
-    The getter reads the 0-based images of the vertex's labels, which name
-    its rotation; the vertex has at least three labels, so it is a tuple.
+    The term is (getter, images -> digit * radix): the getter reads the
+    0-based images of the vertex's labels, which name its rotation; the
+    vertex has at least three labels, so they come back as a tuple.
     """
-    labels = sorted(opts[0])
-    table = {}
+    get = itemgetter(*(label - 1 for label in sorted(opts[0])))
+    terms = {}
+    tables = []
     for digit, cycle in enumerate(opts):
-        succ = {a: b for a, b in zip(cycle, cycle[1:] + cycle[:1])}
-        table[tuple(succ[l] - 1 for l in labels)] = digit * radix
-    return itemgetter(*(l - 1 for l in labels)), table
+        table = bytearray(_IDENT256)
+        _apply_cycle(table, cycle)
+        terms[get(table)] = digit * radix
+        tables.append(bytes(table))
+    return get, terms, tables
 
 
 def _apply_cycle(table, cycle):
@@ -109,50 +121,16 @@ def _apply_cycle(table, cycle):
         table[label - 1] = cycle[(i + 1) % len(cycle)] - 1
 
 
-def _pair_stream(radix, start, stop, raw=False):
-    if not (0 <= start <= stop <= radix.total):
-        raise ValueError(f"range [{start}, {stop}) outside [0, {radix.total})")
-    if start == stop:
-        return
-    graph = radix.graph
-    e = graph.e
-    nblack = len(radix.black_opts)
-    digits = radix.digits(start)
-
-    sigma = bytearray(range(e))
-    tau = bytearray(range(e))
-    for d, opts in zip(digits[:nblack], radix.black_opts):
-        _apply_cycle(sigma, opts[d])
-    for d, opts in zip(digits[nblack:], radix.white_opts):
-        _apply_cycle(tau, opts[d])
-
-    index = start
-    while True:
-        if raw:
-            yield bytes(sigma), bytes(tau)
-        else:
-            yield RotationPair(
-                Permutation._from_table(bytes(sigma), e),
-                Permutation._from_table(bytes(tau), e),
-                graph,
-            )
-        index += 1
-        if index == stop:
-            return
-        # odometer step, black digits least significant
-        for pos, opts in enumerate(radix.opts):
-            digits[pos] += 1
-            table = sigma if pos < nblack else tau
-            if digits[pos] < len(opts):
-                _apply_cycle(table, opts[digits[pos]])
-                break
-            digits[pos] = 0
-            _apply_cycle(table, opts[0])
+def _pair_from_tables(s, t, graph):
+    """The rotation pair of two 0-based tables of ``e`` bytes each."""
+    e = len(s)
+    return RotationPair(Permutation._from_table(s, e), Permutation._from_table(t, e), graph)
 
 
 def enumerate_pairs(graph):
     """All candidate_count(graph) rotation pairs, in the pinned order."""
-    return _pair_stream(_Radix(graph), 0, graph.candidate_count())
+    radix = _Radix(graph)
+    return (_pair_from_tables(*radix.unrank(i), graph) for i in range(radix.total))
 
 
 def chunk_bounds(total, chunk_index, chunk_count):

@@ -11,7 +11,7 @@ system in stream order with the most and with the fewest faces) and tau as
 from collections import Counter
 
 from dessins import cleanify, genus_histogram, genus_range
-from dessins.rotation import _Radix, _pair_stream
+from dessins.rotation import _Radix
 
 
 def _cycle_count(table):
@@ -34,7 +34,9 @@ def brute_force(plain):
     hist = Counter()
     first = {}
     tau_table = None
-    for sigma, tau in _pair_stream(_Radix(clean), 0, clean.candidate_count(), raw=True):
+    radix = _Radix(clean)
+    for index in range(radix.total):
+        sigma, tau = radix.unrank(index)
         tau_table = tau
         gamma = _cycle_count(tau.translate(sigma + pad))
         defect = e - alpha - gamma

@@ -253,3 +253,57 @@ def test_output_stable_across_hash_seeds():
             )
             outputs.add(proc.stdout)
         assert len(outputs) == 1
+
+
+# '²' passes str.isdigit() but int() refuses it
+
+
+def test_non_ascii_digit_refused_as_edge_label(tmp_path):
+    path = tmp_path / "sq.bg"
+    path.write_text("black a\nwhite w\nedge ² a w\n")
+    code, out, err = run(["classify", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: edge label '²' is not an integer\n"
+
+
+def test_non_ascii_digit_refused_in_cycle_notation(tmp_path):
+    path = tmp_path / "cherry.bg"
+    path.write_text("black a\nwhite w x\nedge 1 a w\nedge 2 a x\n")
+    code, out, err = run(["analyze", str(path), "--sigma", "(1,²)", "--tau", "()"])
+    assert (code, out) == (2, "")
+    assert err == "error: bad permutation: expected a label (at position 3)\n"
+
+
+def path_file(tmp_path, edges, bipartite):
+    """A path with ``edges`` edges, as a .bg file or a .g file."""
+    ids = [f"v{i}" for i in range(edges + 1)]
+    if bipartite:
+        lines = ["black " + " ".join(ids[0::2]), "white " + " ".join(ids[1::2])]
+        ends = [(ids[i], ids[i + 1])[:: -1 if i % 2 else 1] for i in range(edges)]
+    else:
+        lines = ["vertex " + " ".join(ids)]
+        ends = [(ids[i], ids[i + 1]) for i in range(edges)]
+    lines += [f"edge {i} {u} {v}" for i, (u, v) in enumerate(ends, 1)]
+    path = tmp_path / f"path{edges}.{'bg' if bipartite else 'g'}"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_label_limit_of_bipartite_graphs(tmp_path):
+    for command in (["classify"], ["autgroup"]):
+        code, out, err = run(command + [path_file(tmp_path, 255, True)])
+        assert code == 0 and out and err == ""
+        code, out, err = run(command + [path_file(tmp_path, 256, True)])
+        assert (code, out) == (2, "")
+        assert err == "error: 256 edges exceed the limit of 255 labels\n"
+
+
+def test_edge_limit_of_genus_range(tmp_path):
+    code, out, err = run(["genus-range", path_file(tmp_path, 128, False), "--histogram"])
+    assert code == 0
+    assert (kv(out)["mu"], kv(out)["nu"], kv(out)["genus[0]"]) == ("0", "0", "1")
+    for flags in ([], ["--histogram"]):
+        code, out, err = run(["genus-range", path_file(tmp_path, 129, False), *flags])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 129 edges exceed the limit of 128 ")
+        assert err.count("\n") == 1
