@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .perm import Permutation
+from .perm import MAX_DEGREE, Permutation
 from .permgroup import PermGroup
 
 
@@ -65,12 +65,20 @@ def _check_connected(vertices, edges):
 
 
 class BipartiteGraph:
-    """Connected bipartite multigraph with edges labeled exactly 1..e."""
+    """Connected bipartite multigraph with edges labeled exactly 1..e.
 
-    def __init__(self, blacks, whites, edges):
+    More than ``label_limit`` edges are refused: permutations of the labels
+    keep them in a byte.
+    """
+
+    def __init__(self, blacks, whites, edges, label_limit=MAX_DEGREE):
         self.blacks = tuple(blacks)
         self.whites = tuple(whites)
         self.edges = tuple((int(l), b, w) for l, b, w in edges)
+        if len(self.edges) > label_limit:
+            raise GraphStructureError(
+                f"{len(self.edges)} edges exceed the limit of {label_limit} labels"
+            )
         self._validate()
         self.e = len(self.edges)
         self.black_labels = {v: [] for v in self.blacks}
@@ -259,7 +267,8 @@ def cleanify(plain):
 
     Plain edge k becomes white vertex ``e<k>`` with clean edges 2k-1 (to the
     first endpoint) and 2k (to the second); a loop yields two parallel clean
-    edges at its vertex.
+    edges at its vertex.  The genus search keeps these labels 0-based, so
+    up to 256 of them fit in a byte.
     """
     blacks = list(plain.vertices)
     whites = []
@@ -269,7 +278,7 @@ def cleanify(plain):
         whites.append(w)
         edges.append((2 * label - 1, u, w))
         edges.append((2 * label, v, w))
-    return BipartiteGraph(blacks, whites, edges)
+    return BipartiteGraph(blacks, whites, edges, label_limit=MAX_DEGREE + 1)
 
 
 # -- automorphisms ----------------------------------------------------------

@@ -13,7 +13,13 @@ import os
 import sys
 from math import gcd
 
-from .bgraph import GraphParseError, automorphism_group, parse_bipartite, parse_plain
+from .bgraph import (
+    GraphParseError,
+    GraphStructureError,
+    automorphism_group,
+    parse_bipartite,
+    parse_plain,
+)
 from .classify import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -25,7 +31,7 @@ from .classify import (
 from .dessin import NonTransitiveError, invariants, mirror
 from .graphgenus import DEFAULT_GENUS_BUDGET, GenusBudgetError, genus_histogram, genus_range
 from .io import build_document, serialize_document
-from .perm import MAX_DEGREE, CycleParseError, format_cycles, parse_cycles
+from .perm import CycleParseError, format_cycles, parse_cycles
 from .permgroup import CapExceededError
 from .rotation import RotationPair, membership_failure
 
@@ -34,9 +40,6 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-# the subdivision's 2e labels, 0-based, must fit in a byte
-GENUS_MAX_EDGES = (MAX_DEGREE + 1) // 2
-
 
 def _read(path):
     try:
@@ -44,13 +47,6 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise GraphParseError(f"cannot read {path}: {exc.strerror}") from exc
-
-
-def _load_bipartite(path):
-    graph = parse_bipartite(_read(path))
-    if graph.e > MAX_DEGREE:
-        raise GraphParseError(f"{graph.e} edges exceed the limit of {MAX_DEGREE} labels")
-    return graph
 
 
 def _default_budget():
@@ -71,7 +67,7 @@ def _budget(args, fallback):
 
 
 def cmd_classify(args, out, err):
-    graph = _load_bipartite(args.graph)
+    graph = parse_bipartite(_read(args.graph))
     if args.wilson:
         try:
             r, s = (int(x) for x in args.wilson.split(","))
@@ -98,11 +94,6 @@ def cmd_classify(args, out, err):
 
 def cmd_genus_range(args, out, err):
     plain = parse_plain(_read(args.graph))
-    if len(plain.edges) > GENUS_MAX_EDGES:
-        raise GraphParseError(
-            f"{len(plain.edges)} edges exceed the limit of {GENUS_MAX_EDGES} "
-            "for genus-range, whose subdivision has two labels per edge"
-        )
     budget = _budget(args, DEFAULT_GENUS_BUDGET)
     result = genus_range(plain, budget=budget)
     # a refused histogram leaves stdout empty, as a refused range does
@@ -119,7 +110,7 @@ def cmd_genus_range(args, out, err):
 
 
 def cmd_analyze(args, out, err):
-    graph = _load_bipartite(args.graph)
+    graph = parse_bipartite(_read(args.graph))
     try:
         sigma = parse_cycles(args.sigma, graph.e)
         tau = parse_cycles(args.tau, graph.e)
@@ -166,7 +157,7 @@ def cmd_analyze(args, out, err):
 
 
 def cmd_autgroup(args, out, err):
-    graph = _load_bipartite(args.graph)
+    graph = parse_bipartite(_read(args.graph))
     group = automorphism_group(graph)
     out.write(f"order: {group.theta.order()}\n")
     out.write("generators:\n")
@@ -219,7 +210,7 @@ def main(argv=None, out=None, err=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, out, err)
-    except (GraphParseError, NonTransitiveError) as exc:
+    except (GraphParseError, GraphStructureError, NonTransitiveError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_PARSE
     except (BudgetExceededError, GenusBudgetError, CapExceededError) as exc:

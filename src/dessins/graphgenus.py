@@ -44,11 +44,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .bgraph import cleanify
-from .perm import Permutation, cycle_type
+from .bgraph import GraphStructureError, cleanify
+from .perm import MAX_DEGREE, Permutation, cycle_type
 from .rotation import _apply_cycle, _cycles_at
 
 DEFAULT_GENUS_BUDGET = 10**7
+
+# the subdivision's 2e labels, 0-based, must fit in a byte
+MAX_EDGES = (MAX_DEGREE + 1) // 2
 
 
 class GenusBudgetError(RuntimeError):
@@ -77,6 +80,11 @@ class _Subdivision:
     """The subdivided graph, its fixed tau and the links of every local rotation."""
 
     def __init__(self, plain):
+        if len(plain.edges) > MAX_EDGES:
+            raise GraphStructureError(
+                f"{len(plain.edges)} edges exceed the limit of {MAX_EDGES} "
+                "for genus-range, whose subdivision has two labels per edge"
+            )
         # gamma has the parity of e - alpha
         self.excess = len(plain.edges) - len(plain.vertices)
         self.clean = clean = cleanify(plain)
@@ -203,7 +211,7 @@ def genus_range(plain, budget=DEFAULT_GENUS_BUDGET):
     """Minimum and maximum embedding genus with witness rotation systems.
 
     Raises GenusBudgetError once the two searches together try more than
-    ``budget`` local rotations.
+    ``budget`` local rotations, and GraphStructureError past ``MAX_EDGES``.
     """
     sub = _Subdivision(plain)
     parity = sub.excess % 2
@@ -246,7 +254,8 @@ def _closing_table(kind):
 def genus_histogram(plain, budget=DEFAULT_GENUS_BUDGET):
     """Count of rotation systems per genus (not up to isomorphism).
 
-    Raises GenusBudgetError when there are more than ``budget`` systems.
+    Raises GenusBudgetError when there are more than ``budget`` systems,
+    and GraphStructureError past ``MAX_EDGES``.
     """
     sub = _Subdivision(plain)
     total = sub.clean.candidate_count()

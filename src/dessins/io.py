@@ -4,6 +4,12 @@ Records are emitted sorted by (genus, passport, canonical representative);
 ``orbit_id`` keeps the classification's own ordering so mirror partners
 stay resolvable.  Group-theoretic orders are serialized as decimal strings
 (they overflow 64-bit consumers).
+
+The JSON text is exactly ``json.dumps(data, indent=2)`` plus a newline, but
+written by ``str.join`` over the document tree: with an indent, ``json``
+falls back to its pure-Python encoder.  ``parse_report`` checks every
+permutation string, once per distinct string: records of a clean graph all
+share one ``tau``.
 """
 
 from __future__ import annotations
@@ -111,9 +117,48 @@ def build_document(report, wilson_targets=None):
     return ReportDocument(data)
 
 
+_STR = json.encoder.encode_basestring_ascii
+_INTS = {int}
+
+
+def _to_json(value, pad=""):
+    """``json.dumps(value, indent=2)``, nested ``pad`` deep, by ``str.join``.
+
+    Takes dicts with string keys, lists, strings, ints, booleans and None;
+    anything else goes to ``json.dumps`` itself.  A list of ints is one join.
+    """
+    kind = type(value)
+    if kind is str:
+        return _STR(value)
+    if kind is int:
+        return str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is list:
+        if not value:
+            return "[]"
+        if set(map(type, value)) == _INTS:
+            body = sep.join(map(str, value))
+        else:
+            body = sep.join([_to_json(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        body = sep.join([_STR(k) + ": " + _to_json(v, inner) for k, v in value.items()])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
 def serialize_document(doc, fmt="json"):
     if fmt == "json":
-        return json.dumps(doc.data, indent=2) + "\n"
+        return _to_json(doc.data) + "\n"
     if fmt == "csv":
         return _to_csv(doc)
     if fmt == "table":
@@ -222,6 +267,19 @@ def parse_report(text):
     if not isinstance(records, list):
         raise ReportFormatError("missing records list")
     e = graph["e"]
+    e_ok = type(e) is int and 1 <= e <= MAX_DEGREE
+    if not records and not e_ok:
+        raise ReportFormatError(f"graph e {e!r} is not in 1..{MAX_DEGREE}")
+    # every string is checked once per report: records share strings
+    checked = set()
+
+    def check_cycles(text):
+        if type(text) is str:  # other values may be unhashable
+            if text in checked:
+                return
+            checked.add(text)
+        parse_cycles(text, e)
+
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ReportFormatError(f"record {i} is not an object")
@@ -229,18 +287,18 @@ def parse_report(text):
                       "genus", "passport", "monodromy_order", "mirror"):
             if field not in rec:
                 raise ReportFormatError(f"record {i} missing {field!r}")
-        if type(e) is not int or not 1 <= e <= MAX_DEGREE:
+        if not e_ok:
             raise ReportFormatError(f"record {i}: graph e {e!r} is not in 1..{MAX_DEGREE}")
         for field in ("sigma", "tau"):
             try:
-                parse_cycles(rec[field], e)
+                check_cycles(rec[field])
             except (ValueError, TypeError) as exc:
                 raise ReportFormatError(
                     f"record {i}: bad {field} cycle string: {exc}"
                 ) from exc
         try:
             for g in rec.get("aut_generators", []):
-                parse_cycles(g, e)
+                check_cycles(g)
         except (ValueError, TypeError) as exc:
             raise ReportFormatError(
                 f"record {i}: bad automorphism cycle string: {exc}"

@@ -7,9 +7,19 @@ is therefore ``compose(tau, sigma)``.
 
 from __future__ import annotations
 
+import re
+
 _IDENT256 = bytes(range(256))
 
 MAX_DEGREE = 255  # images are cached as bytes so labels must fit in one byte
+
+# 1-based byte labels down to 0-based (0 never occurs)
+_LOWER = bytes([255]) + _IDENT256[:255]
+# the text of each 0-based label, and back to the 1-based label
+_LABELS = tuple(str(i + 1) for i in range(256))
+_VALUES = {text: i + 1 for i, text in enumerate(_LABELS[:MAX_DEGREE])}
+_FIRSTS = re.compile(r"\(([0-9]+)")
+_LASTS = re.compile(r"([0-9]+)\)")
 
 
 class CycleParseError(ValueError):
@@ -128,25 +138,6 @@ class Permutation:
     def inverse(self):
         return Permutation._from_table(_invert(self._table, self.degree), self.degree)
 
-    def cycles(self):
-        """Cycles of length > 1, each from its least label, sorted by least label."""
-        table = self._table
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cyc = [start + 1]
-            seen[start] = True
-            nxt = table[start]
-            while nxt != start:
-                cyc.append(nxt + 1)
-                seen[nxt] = True
-                nxt = table[nxt]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
-
     def is_even(self):
         return is_even(self)
 
@@ -202,6 +193,10 @@ def parse_cycles(text, degree):
 
     Labels omitted from the text are fixed points.  Whitespace is ignored.
     """
+    if isinstance(text, str) and type(degree) is int and degree <= MAX_DEGREE:
+        p = _parse_plain_cycles(text, degree)
+        if p is not None:
+            return p
     images = list(range(1, degree + 1))
     used = [False] * degree
     pos = 0
@@ -263,12 +258,49 @@ def parse_cycles(text, degree):
     return Permutation(images)
 
 
+def _parse_plain_cycles(text, degree):
+    """``parse_cycles`` of text as ``format_cycles`` writes it, or None.
+
+    The text is "(", then labels joined by "," within a cycle and ")("
+    between cycles, then ")"; each label is a key of ``_VALUES``, which
+    leaves out "0", leading zeros and labels past a byte.  Every label maps
+    to the next label in the text, except the last of each cycle, which
+    maps to the first; so one ``bytes.maketrans`` of all labels followed by
+    the (last, first) pairs builds the table, later pairs overriding
+    earlier ones.  Other text (whitespace, "()", non-ASCII digits, errors)
+    goes to the character walk, which owns every error message.
+    """
+    if text[:1] != "(" or text[-1:] != ")":
+        return None
+    value = _VALUES.__getitem__
+    try:
+        moved = bytes(map(value, text[1:-1].replace(")(", ",").split(",")))
+    except KeyError:
+        return None
+    if len(set(moved)) != len(moved) or max(moved) > degree:
+        return None
+    firsts = bytes(map(value, _FIRSTS.findall(text)))
+    lasts = bytes(map(value, _LASTS.findall(text)))
+    table = bytes.maketrans(moved + lasts, moved[1:] + moved[:1] + firsts)
+    return Permutation._from_table(table[1 : degree + 1].translate(_LOWER), degree)
+
+
 def format_cycles(p):
     """Canonical text: cycles by least element, rotated to start there; identity is "()"."""
-    cycles = p.cycles()
-    if not cycles:
-        return "()"
-    return "".join("(" + ",".join(str(v) for v in cyc) + ")" for cyc in cycles)
+    table = p._table
+    seen = bytearray(p.degree)
+    parts = []
+    for start in range(p.degree):
+        if seen[start] or table[start] == start:
+            continue
+        cycle = [_LABELS[start]]
+        nxt = table[start]
+        while nxt != start:
+            seen[nxt] = 1
+            cycle.append(_LABELS[nxt])
+            nxt = table[nxt]
+        parts.append("(" + ",".join(cycle) + ")")
+    return "".join(parts) or "()"
 
 
 def random_permutation(degree, rng):

@@ -3,8 +3,12 @@ import itertools
 import pytest
 
 from dessins import (
+    BipartiteGraph,
     GraphParseError,
+    GraphStructureError,
+    PlainGraph,
     automorphism_group,
+    classify,
     cleanify,
     parse_bipartite,
     parse_plain,
@@ -235,3 +239,30 @@ def test_edge_action_injectivity_counts():
         for m in parallel_classes:
             expected *= math.factorial(m)
         assert group.group_order == expected == group.theta.order()
+
+
+def path_graph(edges):
+    """A path with ``edges`` edges, black and white alternating."""
+    ids = [f"v{i}" for i in range(edges + 1)]
+    ends = [(ids[i], ids[i + 1])[:: -1 if i % 2 else 1] for i in range(edges)]
+    return ids[0::2], ids[1::2], [(i, b, w) for i, (b, w) in enumerate(ends, 1)]
+
+
+def test_label_limit_of_bipartite_graphs():
+    graph = BipartiteGraph(*path_graph(255))
+    assert automorphism_group(graph).theta.order() == 1
+    assert len(classify(graph, with_monodromy=False).records) == 1
+    with pytest.raises(GraphStructureError, match="^256 edges exceed the limit of 255 labels$"):
+        BipartiteGraph(*path_graph(256))
+    blacks, whites, edges = path_graph(256)
+    text = "black " + " ".join(blacks) + "\nwhite " + " ".join(whites) + "\n"
+    text += "".join(f"edge {l} {b} {w}\n" for l, b, w in edges)
+    with pytest.raises(GraphParseError, match="^256 edges exceed the limit of 255 labels$"):
+        parse_bipartite(text)
+
+
+def test_cleanify_admits_a_byte_of_labels():
+    ids = [f"v{i}" for i in range(130)]
+    assert cleanify(PlainGraph(ids[:129], [(i, ids[i - 1], ids[i]) for i in range(1, 129)])).e == 256
+    with pytest.raises(GraphStructureError, match="^258 edges exceed the limit of 256 labels$"):
+        cleanify(PlainGraph(ids, [(i, ids[i - 1], ids[i]) for i in range(1, 130)]))

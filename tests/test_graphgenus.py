@@ -7,6 +7,8 @@ import pytest
 
 from dessins import (
     GenusBudgetError,
+    GraphStructureError,
+    PlainGraph,
     classify,
     cleanify,
     genus_histogram,
@@ -193,3 +195,18 @@ def test_genus_range_agrees_with_exhaustive_oracle():
     result = genus_range(plain)
     assert result.mu == min(genera)
     assert result.nu == max(genera)
+
+
+def test_edge_limit_refused_before_subdividing():
+    ids = [f"v{i}" for i in range(130)]
+    path = PlainGraph(ids[:129], [(i, ids[i - 1], ids[i]) for i in range(1, 129)])
+    result = genus_range(path)
+    assert (result.mu, result.nu) == (0, 0)
+    assert genus_histogram(path) == {0: 1}
+    longer = PlainGraph(ids, [(i, ids[i - 1], ids[i]) for i in range(1, 130)])
+    for search in (genus_range, genus_histogram):
+        with pytest.raises(GraphStructureError, match=(
+            "^129 edges exceed the limit of 128 for genus-range, "
+            "whose subdivision has two labels per edge$"
+        )):
+            search(longer)

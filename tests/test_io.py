@@ -5,12 +5,14 @@ import pytest
 
 from dessins import (
     ReportFormatError,
+    build_document,
     classify,
     parse_report,
     serialize_report,
+    wilson_orbit_targets,
 )
 from dessins.classify import ClassificationReport
-from dessins.io import serialize_document
+from dessins.io import ReportDocument, serialize_document
 
 from conftest import load_bipartite
 
@@ -21,6 +23,39 @@ def test_json_round_trip(a4_report):
     assert serialize_document(doc, "json") == text
     again = parse_report(serialize_document(doc, "json"))
     assert again == doc
+
+
+# one report per fixtures/*.bg; Frucht without monodromy leaves it None
+EVERY_BG_REPORT = [
+    "a4_report", "c33_report", "d33_report", "dp_report",
+    "frucht_light_report", "k33_report", "k33_clean_report", "k5_report",
+]
+
+
+def test_json_writer_equals_json_dumps_on_every_fixture(request):
+    chiral = unknown_order = 0
+    for name in EVERY_BG_REPORT:
+        report = request.getfixturevalue(name).report
+        for targets in (None, (1, 1, wilson_orbit_targets(report, 1, 1))):
+            doc = build_document(report, targets)
+            assert serialize_document(doc, "json") == json.dumps(doc.data, indent=2) + "\n"
+        chiral += sum(r.mirror_partner is not None for r in report.records)
+        unknown_order += sum(r.invariants.monodromy_order is None for r in report.records)
+    assert chiral and unknown_order
+
+
+@pytest.mark.parametrize("data", [
+    {},
+    [],
+    {"a": {}, "b": [], "c": [[]], "d": [{}]},
+    {"ints": [1, -2, 10**30], "mixed": [1, True, None, "x"], "bools": [True, False]},
+    {"text": "quote\" back\\ tab\t nl\n \u00e9 \U0001f600 \x00", "\u00e9": "key"},
+    {"float": 1.5, "tuple": (1, 2), "nested": {"deep": [0.25, {"k": (None,)}]}},
+    {1: "int key", None: "none key"},
+    [{"int key below": {2: [3]}}, "after"],
+])
+def test_json_writer_equals_json_dumps_on_any_value(data):
+    assert serialize_document(ReportDocument(data), "json") == json.dumps(data, indent=2) + "\n"
 
 
 def test_record_order_is_total(k33_report):
@@ -135,6 +170,27 @@ def test_parse_rejects_malformed_values_with_record_index(k33_report, corrupt, v
     doc = json.loads(serialize_report(k33_report.report, "json"))
     corrupt(doc, value)
     with pytest.raises(ReportFormatError, match="^record 0"):
+        parse_report(json.dumps(doc))
+
+
+def test_parse_rejects_bad_graph_e_without_records(k33_report):
+    doc = json.loads(serialize_report(k33_report.report, "json"))
+    doc["records"] = []
+    assert parse_report(json.dumps(doc)).records == []
+    for value in ("zz", 0, 256, None):
+        doc["graph"]["e"] = value
+        with pytest.raises(ReportFormatError, match=r"^graph e .* is not in 1\.\.255$"):
+            parse_report(json.dumps(doc))
+
+
+def test_parse_checks_a_repeated_string_in_every_record(frucht_light_report):
+    doc = json.loads(serialize_report(frucht_light_report.report, "json"))
+    # a clean graph has one tau, which every record repeats
+    assert len({r["tau"] for r in doc["records"]}) == 1
+    doc["records"][5]["sigma"] = doc["records"][3]["sigma"]
+    parse_report(json.dumps(doc))
+    doc["records"][7]["tau"] = doc["records"][3]["sigma"] + "(1,2)"
+    with pytest.raises(ReportFormatError, match="^record 7: bad tau cycle string"):
         parse_report(json.dumps(doc))
 
 

@@ -13,7 +13,7 @@ from dessins import (
     is_even,
     parse_cycles,
 )
-from dessins.perm import random_permutation
+from dessins.perm import MAX_DEGREE, random_permutation
 
 
 def P(s, n):
@@ -103,6 +103,16 @@ def test_parse_format_round_trip():
         n = rng.randint(1, 30)
         p = random_permutation(n, rng)
         assert parse_cycles(format_cycles(p), n) == p
+
+
+def test_parse_format_round_trip_at_every_degree():
+    rng = random.Random(29)
+    for n in range(1, MAX_DEGREE + 1):
+        for p in (identity(n), random_permutation(n, rng)):
+            assert parse_cycles(format_cycles(p), n) == p
+    full = Permutation([*range(2, MAX_DEGREE + 1), 1])
+    assert format_cycles(full).count(",") == MAX_DEGREE - 1
+    assert parse_cycles(format_cycles(full), MAX_DEGREE) == full
 
 
 def test_format_is_canonical():

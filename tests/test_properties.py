@@ -6,7 +6,9 @@ Burnside's lemma.  A second oracle canonicalizes every pair on its own
 and counts the pairs per canonical form.  The classification must agree
 with both.  The last property holds the exact genus search of
 ``graphgenus`` to the brute-force oracle of ``genus_oracle`` on random
-plain multigraphs.
+plain multigraphs.  The cycle notation properties hold ``parse_cycles``
+to the character walk of ``cycles_oracle`` on random text, well formed or
+not, and ``format_cycles`` to its label-by-label walk.
 """
 
 import itertools
@@ -23,12 +25,16 @@ from dessins import (
     classify,
     cleanify,
     enumerate_pairs,
+    format_cycles,
     local_rotations,
     mirror,
+    parse_cycles,
     stabilizer,
 )
+from dessins.perm import Permutation
 from dessins.rotation import _Radix
 
+import cycles_oracle
 import genus_oracle
 
 # N * |G| act calls per Burnside count; keeps each example well under 0.1 s
@@ -194,3 +200,45 @@ def test_marking_census_agrees_with_per_pair_canonicalization(graph):
 def test_genus_search_agrees_with_brute_force(plain):
     assume(cleanify(plain).candidate_count() <= MAX_WORK)
     assert genus_oracle.search(plain) == genus_oracle.brute_force(plain)
+
+
+# digits and spaces that str.isdecimal and str.isspace take beyond ASCII
+CYCLE_ALPHABET = "(),0123456789" + "\u0663\u07c1\uff15" + " \t\n\u2003"
+
+
+@st.composite
+def cycle_texts(draw):
+    """Random text over the notation's alphabet, or the canonical text of a
+    random permutation with up to three characters inserted, deleted or
+    replaced."""
+    if draw(st.booleans()):
+        return draw(st.text(CYCLE_ALPHABET, max_size=24))
+    images = draw(st.permutations(range(1, draw(st.integers(1, 12)) + 1)))
+    text = format_cycles(Permutation(images))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 1))
+        text = text[:i] + draw(st.text(CYCLE_ALPHABET, max_size=1)) + text[i + cut:]
+    return text
+
+
+def parse_outcome(parse, text, degree):
+    try:
+        p = parse(text, degree)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return p.degree, p.images
+
+
+@settings(seeded, max_examples=1000)
+@given(cycle_texts(), st.one_of(st.integers(0, 14), st.sampled_from([255, 256])))
+def test_parse_cycles_agrees_with_character_walk(text, degree):
+    expected = parse_outcome(cycles_oracle.parse_cycles, text, degree)
+    assert parse_outcome(parse_cycles, text, degree) == expected
+
+
+@seeded
+@given(st.integers(1, 255).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_format_cycles_agrees_with_label_walk(images):
+    p = Permutation(images)
+    assert format_cycles(p) == cycles_oracle.format_cycles(p)
