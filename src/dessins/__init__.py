@@ -2,7 +2,6 @@
 
 from .perm import (
     CycleParseError,
-    CycleType,
     Permutation,
     compose,
     conjugate,

@@ -9,6 +9,7 @@ generators realizing the full symmetric group on each class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import factorial
 
 from .perm import MAX_DEGREE, Permutation
@@ -29,21 +30,19 @@ class GraphPassport:
     white_degrees: tuple
 
     def __str__(self):
-        return f"({_format_degrees(self.black_degrees)};{_format_degrees(self.white_degrees)})"
+        return _format_passport(self.black_degrees, self.white_degrees)
 
 
-def _format_degrees(degs):
-    out = []
-    i = 0
-    degs = list(degs)
-    while i < len(degs):
-        j = i
-        while j < len(degs) and degs[j] == degs[i]:
-            j += 1
-        n = j - i
-        out.append(f"{degs[i]}^{n}" if n > 1 else f"{degs[i]}")
-        i = j
-    return ",".join(out)
+def _format_passport(*degree_lists):
+    """``(3^2,4;2^5)``: each sorted degree list run-length coded, joined by ";"."""
+    parts = []
+    for degs in degree_lists:
+        runs = []
+        for d, run in groupby(degs):
+            n = len(list(run))
+            runs.append(f"{d}^{n}" if n > 1 else f"{d}")
+        parts.append(",".join(runs))
+    return "(" + ";".join(parts) + ")"
 
 
 def _check_connected(vertices, edges):
@@ -64,6 +63,11 @@ def _check_connected(vertices, edges):
         raise GraphStructureError(f"graph is disconnected (unreachable: {missing})")
 
 
+def _check_label_count(e, limit=MAX_DEGREE):
+    if e > limit:
+        raise GraphStructureError(f"{e} edges exceed the limit of {limit} labels")
+
+
 class BipartiteGraph:
     """Connected bipartite multigraph with edges labeled exactly 1..e.
 
@@ -75,10 +79,7 @@ class BipartiteGraph:
         self.blacks = tuple(blacks)
         self.whites = tuple(whites)
         self.edges = tuple((int(l), b, w) for l, b, w in edges)
-        if len(self.edges) > label_limit:
-            raise GraphStructureError(
-                f"{len(self.edges)} edges exceed the limit of {label_limit} labels"
-            )
+        _check_label_count(len(self.edges), label_limit)
         self._validate()
         self.e = len(self.edges)
         self.black_labels = {v: [] for v in self.blacks}
@@ -166,16 +167,6 @@ class PlainGraph:
             if u not in vset or v not in vset:
                 raise GraphStructureError(f"edge {l}: unknown vertex")
         _check_connected(self.vertices, self.edges)
-
-    def degree(self, vertex):
-        # a loop contributes 2 to its vertex
-        d = 0
-        for _, u, v in self.edges:
-            if u == vertex:
-                d += 1
-            if v == vertex:
-                d += 1
-        return d
 
 
 # -- file formats -----------------------------------------------------------
@@ -287,15 +278,13 @@ def cleanify(plain):
 class EdgeActionGroup:
     """The color-preserving automorphisms of a bipartite graph, acting on labels.
 
-    ``vertex_maps[i]`` is the (black map, white map) pair inducing
-    ``theta.generators[i]``; parallel-class generators have identity vertex
-    maps.  ``group_order`` is the group order counted on the vertex side
-    (vertex automorphisms times parallel-class permutations), asserted equal
-    to ``theta.order()``.
+    ``theta`` is generated by the vertex automorphisms other than the
+    identity, in backtracking order, then by a swap and a cycle of each
+    parallel class, classes sorted by labels.  ``group_order`` is the group
+    order counted on the vertex side (vertex automorphisms times
+    parallel-class permutations), asserted equal to ``theta.order()``.
     """
 
-    graph: BipartiteGraph
-    vertex_maps: tuple
     theta: PermGroup
     group_order: int
 
@@ -303,8 +292,10 @@ class EdgeActionGroup:
 def _vertex_automorphisms(graph):
     """All color-preserving vertex automorphisms, by refinement + backtracking.
 
-    Every traversal below runs over sorted structures so the result order
-    is independent of hash seeds, run to run.
+    Each comes back as the backtracker's map, a dict from ``("b", v)`` and
+    ``("w", v)`` to the image vertex in the same form.  Every traversal
+    below runs over sorted structures so the result order is independent of
+    hash seeds, run to run.
     """
     verts = [("b", v) for v in graph.blacks] + [("w", v) for v in graph.whites]
     mult = {}
@@ -393,67 +384,51 @@ def _vertex_automorphisms(graph):
                 del fwd[u]
 
     extend(0)
-    autos = []
-    for res in results:
-        bmap = {v: res[("b", v)][1] for v in graph.blacks}
-        wmap = {v: res[("w", v)][1] for v in graph.whites}
-        autos.append((bmap, wmap))
-    return autos
+    return results
 
 
-def _edge_extension(graph, bmap, wmap):
-    """The label-order-preserving edge bijection induced by a vertex automorphism."""
+def automorphism_group(graph):
+    """Full group of color-preserving automorphisms with its action on labels."""
+    _check_label_count(graph.e)
+    autos = _vertex_automorphisms(graph)
     by_pair = {}
     for label, b, w in graph.edges:
         by_pair.setdefault((b, w), []).append(label)
     for ls in by_pair.values():
         ls.sort()
-    images = [0] * graph.e
-    for (b, w), ls in by_pair.items():
-        target = by_pair[(bmap[b], wmap[w])]
-        if len(target) != len(ls):
-            raise GraphStructureError("vertex map does not preserve multiplicities")
-        for a, t in zip(ls, target):
-            images[a - 1] = t
-    return Permutation(images)
 
-
-def automorphism_group(graph):
-    """Full group of color-preserving automorphisms with its action on labels."""
-    autos = _vertex_automorphisms(graph)
-    by_pair = {}
-    for label, b, w in graph.edges:
-        by_pair.setdefault((b, w), []).append(label)
-    parallel = {k: sorted(v) for k, v in by_pair.items() if len(v) > 1}
-
-    ident_b = {v: v for v in graph.blacks}
-    ident_w = {v: v for v in graph.whites}
-    vertex_maps = []
+    # each vertex automorphism moves the sorted labels of every (b, w) pair
+    # onto those of its image pair, in order
+    ident = list(range(1, graph.e + 1))
     gens = []
-    for bmap, wmap in autos:
-        if bmap == ident_b and wmap == ident_w:
-            continue
-        vertex_maps.append((bmap, wmap))
-        gens.append(_edge_extension(graph, bmap, wmap))
-    for _, ls in sorted(parallel.items(), key=lambda kv: kv[1]):
-        swap = list(range(1, graph.e + 1))
+    for fwd in autos:
+        images = [0] * graph.e
+        for (b, w), ls in by_pair.items():
+            target = by_pair[(fwd[("b", b)][1], fwd[("w", w)][1])]
+            if len(target) != len(ls):
+                raise GraphStructureError("vertex map does not preserve multiplicities")
+            for a, t in zip(ls, target):
+                images[a - 1] = t
+        if images != ident:
+            gens.append(Permutation(images))
+    parallel = sorted(ls for ls in by_pair.values() if len(ls) > 1)
+    for ls in parallel:
+        swap = ident[:]
         swap[ls[0] - 1], swap[ls[1] - 1] = ls[1], ls[0]
-        vertex_maps.append((ident_b, ident_w))
         gens.append(Permutation(swap))
         if len(ls) > 2:
-            cyc = list(range(1, graph.e + 1))
+            cyc = ident[:]
             for i, l in enumerate(ls):
                 cyc[l - 1] = ls[(i + 1) % len(ls)]
-            vertex_maps.append((ident_b, ident_w))
             gens.append(Permutation(cyc))
 
     theta = PermGroup(gens, degree=graph.e)
     vertex_count = len(autos)
-    for ls in parallel.values():
+    for ls in parallel:
         vertex_count *= factorial(len(ls))
     if theta.order() != vertex_count:
         raise GraphStructureError(
             "edge action is not faithful: "
             f"|theta| = {theta.order()} but |G| = {vertex_count}"
         )
-    return EdgeActionGroup(graph, tuple(vertex_maps), theta, vertex_count)
+    return EdgeActionGroup(theta, vertex_count)

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .bgraph import BipartiteGraph, EdgeActionGroup, automorphism_group
+from .bgraph import BipartiteGraph, EdgeActionGroup, _check_label_count, automorphism_group
 from .dessin import invariants, dualizable_oracle, wilson
 from .perm import Permutation, _IDENT256, _invert, format_cycles
 from .permgroup import PermGroup
@@ -238,11 +238,13 @@ def classify(
     """One DessinRecord per isomorphism class of dessins over ``graph``.
 
     ``group`` overrides the edge-action group (a PermGroup on labels); the
-    default is the full color-preserving automorphism group.  Budget refuses
-    oversized enumerations up front.  ``with_monodromy=False`` leaves the
+    default is the full color-preserving automorphism group.  Oversized
+    enumerations and graphs of more than 255 labels (``cleanify`` admits
+    256) are refused up front.  ``with_monodromy=False`` leaves the
     monodromy fields of every record None and skips the Schreier-Sims
     builds of the monodromy groups that are not certified giants.
     """
+    _check_label_count(graph.e)
     total = graph.candidate_count()
     if total > budget:
         raise BudgetExceededError(total, budget)
@@ -259,6 +261,8 @@ def classify(
     pairs = [_pair_from_tables(*key, graph) for key in key_to_orbit]
     invs = _orbit_invariants(pairs, threads, with_monodromy)
     records = []
+    genus_histogram = {}
+    dualizable_histogram = {}
     for (key, orbit_id), pair, inv in zip(key_to_orbit.items(), pairs, invs):
         orbit_length, aut_order, generators = census.pop(key)
         if orbit_length * aut_order != group_order:
@@ -272,35 +276,26 @@ def classify(
                 raise InternalInvariantError(
                     f"duality oracle disagrees at orbit {orbit_id}"
                 )
-        rec = DessinRecord(
-            orbit_id=orbit_id,
-            representative=pair,
-            orbit_length=orbit_length,
-            aut_order=aut_order,
-            aut_generators=generators,
-            invariants=inv,
-            mirror_status=MIRROR_REFLEXIVE,
-            mirror_partner=None,
-        )
         mirrored = action.least(pair.sigma.inverse()._table, pair.tau.inverse()._table)
         partner = key_to_orbit.get(mirrored)
         if partner is None:
             raise InternalInvariantError(
                 f"mirror of orbit {orbit_id} left the family"
             )
-        if partner != orbit_id:
-            rec = replace(rec, mirror_status=MIRROR_CHIRAL, mirror_partner=partner)
-        records.append(rec)
-
-    genus_histogram = {}
-    dualizable_histogram = {}
-    for rec in records:
-        g = rec.invariants.genus
+        chiral = partner != orbit_id
+        records.append(DessinRecord(
+            orbit_id=orbit_id,
+            representative=pair,
+            orbit_length=orbit_length,
+            aut_order=aut_order,
+            aut_generators=generators,
+            invariants=inv,
+            mirror_status=MIRROR_CHIRAL if chiral else MIRROR_REFLEXIVE,
+            mirror_partner=partner if chiral else None,
+        ))
+        g = inv.genus
         genus_histogram[g] = genus_histogram.get(g, 0) + 1
-        if g not in dualizable_histogram:
-            dualizable_histogram[g] = 0
-        if rec.invariants.dualizable:
-            dualizable_histogram[g] += 1
+        dualizable_histogram[g] = dualizable_histogram.get(g, 0) + inv.dualizable
 
     return ClassificationReport(
         graph=graph,

@@ -24,11 +24,12 @@ from .classify import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     InternalInvariantError,
-    _Action,
+    canonical_form,
     classify,
+    stabilizer,
     wilson_orbit_targets,
 )
-from .dessin import NonTransitiveError, invariants, mirror
+from .dessin import NonTransitiveError, face_permutation, invariants, mirror
 from .graphgenus import DEFAULT_GENUS_BUDGET, GenusBudgetError, genus_histogram, genus_range
 from .io import build_document, serialize_document
 from .perm import CycleParseError, format_cycles, parse_cycles
@@ -123,16 +124,13 @@ def cmd_analyze(args, out, err):
         )
     pair = RotationPair(sigma, tau, graph)
     inv = invariants(pair)
-    action = _Action(automorphism_group(graph).theta.elements(), graph.e)
-    stab = action.stabilizer(sigma._table, tau._table)
-    mirrored = mirror(pair)
-    reflexive = action.least(sigma._table, tau._table) == action.least(
-        mirrored.sigma._table, mirrored.tau._table
-    )
+    group = automorphism_group(graph)
+    stab = stabilizer(pair, group)
+    reflexive = canonical_form(pair, group) == canonical_form(mirror(pair), group)
     fp = inv.monodromy_fingerprint
     out.write(f"sigma: {format_cycles(sigma)}\n")
     out.write(f"tau: {format_cycles(tau)}\n")
-    out.write(f"face_permutation: {format_cycles(pair.tau * pair.sigma)}\n")
+    out.write(f"face_permutation: {format_cycles(face_permutation(pair))}\n")
     out.write(f"genus: {inv.genus}\n")
     out.write(f"face_count: {inv.face_count}\n")
     out.write(f"passport: {inv.passport}\n")

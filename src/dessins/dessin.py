@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .bgraph import _format_degrees
+from .bgraph import _format_passport
 from .perm import compose, cycle_type
 from .permgroup import PermGroup, CapExceededError, DEFAULT_ELEMENTS_CAP
 from .rotation import RotationPair
@@ -27,11 +27,7 @@ class DessinPassport:
     faces: tuple
 
     def __str__(self):
-        return "({};{};{})".format(
-            _format_degrees(self.black),
-            _format_degrees(self.white),
-            _format_degrees(self.faces),
-        )
+        return _format_passport(self.black, self.white, self.faces)
 
 
 @dataclass(frozen=True)
@@ -83,9 +79,9 @@ def invariants(pair, with_monodromy=True):
             "sigma and tau do not generate a transitive group; "
             "the underlying graph is disconnected"
         )
-    black = cycle_type(sigma).lengths
-    white = cycle_type(tau).lengths
-    faces = cycle_type(face_permutation(pair)).lengths
+    black = cycle_type(sigma)
+    white = cycle_type(tau)
+    faces = cycle_type(face_permutation(pair))
     alpha, beta, gamma = len(black), len(white), len(faces)
     euler = e - alpha - beta - gamma
     if euler % 2:

@@ -234,7 +234,7 @@ def genus_range(plain, budget=DEFAULT_GENUS_BUDGET):
 
 
 def _cycle_lengths(table):
-    return cycle_type(Permutation._from_table(bytes(table), len(table))).lengths
+    return cycle_type(Permutation._from_table(bytes(table), len(table)))
 
 
 def _closing_table(kind):

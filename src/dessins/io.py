@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .bgraph import _format_degrees
+from .bgraph import _format_passport
 from .perm import MAX_DEGREE, format_cycles, parse_cycles
 
 SCHEMA_VERSION = "1"
@@ -172,11 +172,7 @@ def serialize_report(report, fmt="json", wilson_targets=None):
 
 def _passport_str(rec):
     p = rec["passport"]
-    return "({};{};{})".format(
-        _format_degrees(p["black"]),
-        _format_degrees(p["white"]),
-        _format_degrees(p["faces"]),
-    )
+    return _format_passport(p["black"], p["white"], p["faces"])
 
 
 def _mirror_str(rec):
@@ -212,9 +208,7 @@ def _to_csv(doc):
 
 def _to_table(doc):
     g = doc.graph
-    graph_str = "({};{})".format(
-        _format_degrees(g["black_degrees"]), _format_degrees(g["white_degrees"])
-    )
+    graph_str = _format_passport(g["black_degrees"], g["white_degrees"])
     header = [
         "Graph", "Genus", "MonodromyOrder", "AutOrder",
         "Passport", "Regular", "Mirror", "Dualizable",
@@ -273,12 +267,18 @@ def parse_report(text):
     # every string is checked once per report: records share strings
     checked = set()
 
-    def check_cycles(text):
-        if type(text) is str:  # other values may be unhashable
-            if text in checked:
-                return
-            checked.add(text)
-        parse_cycles(text, e)
+    def check_cycles(i, field, text):
+        if type(text) is not str:
+            raise ReportFormatError(f"record {i}: bad {field} cycle string: not a string")
+        if text in checked:
+            return
+        try:
+            parse_cycles(text, e)
+        except ValueError as exc:
+            raise ReportFormatError(
+                f"record {i}: bad {field} cycle string: {exc}"
+            ) from exc
+        checked.add(text)
 
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
@@ -289,20 +289,13 @@ def parse_report(text):
                 raise ReportFormatError(f"record {i} missing {field!r}")
         if not e_ok:
             raise ReportFormatError(f"record {i}: graph e {e!r} is not in 1..{MAX_DEGREE}")
-        for field in ("sigma", "tau"):
-            try:
-                check_cycles(rec[field])
-            except (ValueError, TypeError) as exc:
-                raise ReportFormatError(
-                    f"record {i}: bad {field} cycle string: {exc}"
-                ) from exc
-        try:
-            for g in rec.get("aut_generators", []):
-                check_cycles(g)
-        except (ValueError, TypeError) as exc:
-            raise ReportFormatError(
-                f"record {i}: bad automorphism cycle string: {exc}"
-            ) from exc
+        check_cycles(i, "sigma", rec["sigma"])
+        check_cycles(i, "tau", rec["tau"])
+        generators = rec.get("aut_generators", [])
+        if type(generators) is not list:
+            raise ReportFormatError(f"record {i}: aut_generators is not a list")
+        for g in generators:
+            check_cycles(i, "automorphism", g)
         try:
             if rec["monodromy_order"] is not None:
                 int(rec["monodromy_order"])

@@ -30,33 +30,6 @@ class CycleParseError(ValueError):
         self.position = position
 
 
-class CycleType:
-    """Multiset of disjoint-cycle lengths, fixed points included, sorted ascending."""
-
-    __slots__ = ("lengths", "total")
-
-    def __init__(self, lengths):
-        self.lengths = tuple(sorted(lengths))
-        self.total = sum(self.lengths)
-
-    def __eq__(self, other):
-        if isinstance(other, CycleType):
-            return self.lengths == other.lengths
-        return self.lengths == tuple(other)
-
-    def __hash__(self):
-        return hash(self.lengths)
-
-    def __iter__(self):
-        return iter(self.lengths)
-
-    def __len__(self):
-        return len(self.lengths)
-
-    def __repr__(self):
-        return f"CycleType({list(self.lengths)})"
-
-
 class Permutation:
     """A bijection of {1..degree}, immutable.
 
@@ -169,6 +142,7 @@ def conjugate(p, g):
 
 
 def cycle_type(p):
+    """Disjoint-cycle lengths, fixed points included, as an ascending tuple."""
     seen = [False] * p.degree
     lengths = []
     for i in range(p.degree):
@@ -181,7 +155,7 @@ def cycle_type(p):
             j = p._table[j]
             n += 1
         lengths.append(n)
-    return CycleType(lengths)
+    return tuple(sorted(lengths))
 
 
 def is_even(p):

@@ -2,9 +2,12 @@
 
 The matrix covers ``dessins classify`` on the six small ``.bg`` fixtures in
 every ``--emit`` format, with and without ``--wilson 1,1``;
-``genus-range --histogram`` on every ``.g`` fixture but K6; and the library
-JSON of ``frucht_clean`` and ``double_prism`` without monodromy.  Each entry
-pins the exit code and the sha256 of the output text encoded as UTF-8.
+``genus-range --histogram`` on every ``.g`` fixture but K6; ``autgroup`` on
+every ``.bg`` fixture; ``analyze`` on the first three records of each small
+fixture, and on one pair that is not a rotation system of its graph; and the
+library JSON of ``frucht_clean`` and ``double_prism`` without monodromy.
+Each entry pins the exit code and the sha256 of the output text encoded as
+UTF-8.
 
     PYTHONPATH=src python tests/byte_gate.py [--threads N]   # compare
     PYTHONPATH=src python tests/byte_gate.py --write         # regenerate
@@ -13,19 +16,21 @@ Regenerate only when a change of output bytes is intended.
 """
 
 import argparse
+import functools
 import hashlib
 import io
 import json
 import os
 import sys
 
-from dessins import classify, parse_bipartite, serialize_report
+from dessins import classify, format_cycles, parse_bipartite, serialize_report
 from dessins.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 DIGESTS = os.path.join(os.path.dirname(__file__), "byte_digests.json")
 
 SMALL_BG = ("a4_clean", "c33", "d33", "k33", "k33_clean", "k5_clean")
+ALL_BG = SMALL_BG + ("double_prism", "frucht_clean")
 PLAIN = ("c3", "c5", "frucht", "k33", "k5")
 LIBRARY_JSON = ("frucht_clean", "double_prism")
 
@@ -36,11 +41,29 @@ def _cli(argv):
     return code, out.getvalue()
 
 
-def _library_json(name, threads):
+def _classify(name, threads):
     with open(os.path.join(FIXTURES, name + ".bg"), encoding="utf-8") as fh:
         graph = parse_bipartite(fh.read())
-    report = classify(graph, threads=threads, with_monodromy=False)
-    return 0, serialize_report(report, "json")
+    return classify(graph, threads=threads, with_monodromy=False)
+
+
+def _library_json(name, threads):
+    return 0, serialize_report(_classify(name, threads), "json")
+
+
+@functools.lru_cache(maxsize=None)
+def _first_pairs(name):
+    """The (sigma, tau) text of the first three records of a fixture."""
+    return [
+        (format_cycles(rec.representative.sigma), format_cycles(rec.representative.tau))
+        for rec in _classify(name, 1).records[:3]
+    ]
+
+
+def _analyze(name, i):
+    sigma, tau = _first_pairs(name)[i]
+    path = os.path.join(FIXTURES, name + ".bg")
+    return _cli(["analyze", path, "--sigma", sigma, "--tau", tau])
 
 
 def cases(threads=1):
@@ -55,6 +78,15 @@ def cases(threads=1):
     for name in PLAIN:
         argv = ["genus-range", os.path.join(FIXTURES, name + ".g"), "--histogram"]
         yield f"genus-range {name}.g --histogram", lambda argv=argv: _cli(argv)
+    for name in ALL_BG:
+        argv = ["autgroup", os.path.join(FIXTURES, name + ".bg")]
+        yield f"autgroup {name}.bg", lambda argv=argv: _cli(argv)
+    for name in SMALL_BG:
+        for i in range(3):
+            yield f"analyze {name}.bg record {i}", lambda name=name, i=i: _analyze(name, i)
+    # the identity pair puts no rotation at a vertex of degree 3
+    argv = ["analyze", os.path.join(FIXTURES, "k33.bg"), "--sigma", "()", "--tau", "()"]
+    yield "analyze k33.bg refused pair", lambda: _cli(argv)
     for name in LIBRARY_JSON:
         yield f"library json {name}.bg", lambda name=name: _library_json(name, threads)
 

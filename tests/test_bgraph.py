@@ -10,6 +10,7 @@ from dessins import (
     automorphism_group,
     classify,
     cleanify,
+    genus_range,
     parse_bipartite,
     parse_plain,
     parse_cycles,
@@ -205,12 +206,16 @@ def test_parallel_edge_bundles_get_full_symmetric_group():
 
 
 def test_generators_preserve_incidence():
+    # each generator carries the labels at a vertex onto the labels at one
+    # vertex of the same colour, distinct vertices onto distinct vertices
     for name in ("k33.bg", "d33.bg", "c33.bg", "a4_clean.bg", "k5_clean.bg"):
         g = load_bipartite(name)
         group = automorphism_group(g)
-        for (bmap, wmap), theta in zip(group.vertex_maps, group.theta.generators):
-            for label, b, w in g.edges:
-                assert g.endpoints[theta(label)] == (bmap[b], wmap[w])
+        for theta in group.theta.generators:
+            for labels in (g.black_labels, g.white_labels):
+                owner = {frozenset(ls): v for v, ls in labels.items()}
+                images = [owner[frozenset(map(theta, ls))] for ls in labels.values()]
+                assert sorted(images) == sorted(labels)
 
 
 def test_group_closed_under_products():
@@ -259,6 +264,41 @@ def test_label_limit_of_bipartite_graphs():
     text += "".join(f"edge {l} {b} {w}\n" for l, b, w in edges)
     with pytest.raises(GraphParseError, match="^256 edges exceed the limit of 255 labels$"):
         parse_bipartite(text)
+
+
+def test_automorphisms_refuse_a_subdivision_of_256_labels():
+    # cleanify admits 256 labels for the genus search; permutations hold 255
+    ids = [f"v{i}" for i in range(129)]
+    path = PlainGraph(ids, [(i, ids[i - 1], ids[i]) for i in range(1, 129)])
+    clean = cleanify(path)
+    for search in (automorphism_group, lambda g: classify(g, with_monodromy=False)):
+        with pytest.raises(GraphStructureError, match="^256 edges exceed the limit of 255 labels$"):
+            search(clean)
+    assert (genus_range(path).mu, genus_range(path).nu) == (0, 0)
+
+
+@pytest.mark.parametrize("blacks, whites, edges, message", [
+    (["a"], ["w"], [], "graph has no edges"),
+    (["a", "a"], ["w"], [(1, "a", "w")], "duplicate vertex id"),
+    (["a"], ["w", "w"], [(1, "a", "w")], "duplicate vertex id"),
+    (["a"], ["a", "w"], [(1, "a", "w")], r"vertex id used in both colors: \['a'\]"),
+    (["a"], ["w"], [(1, "z", "w")], "edge 1: unknown black vertex 'z'"),
+    (["a"], ["w"], [(1, "a", "z")], "edge 1: unknown white vertex 'z'"),
+])
+def test_bipartite_graph_refusals(blacks, whites, edges, message):
+    with pytest.raises(GraphStructureError, match=f"^{message}$"):
+        BipartiteGraph(blacks, whites, edges)
+
+
+@pytest.mark.parametrize("vertices, edges, message", [
+    (["a"], [], "graph has no edges"),
+    (["a", "a"], [(1, "a", "a")], "duplicate vertex id"),
+    (["a"], [(1, "a", "z")], "edge 1: unknown vertex"),
+    (["a"], [(1, "z", "a")], "edge 1: unknown vertex"),
+])
+def test_plain_graph_refusals(vertices, edges, message):
+    with pytest.raises(GraphStructureError, match=f"^{message}$"):
+        PlainGraph(vertices, edges)
 
 
 def test_cleanify_admits_a_byte_of_labels():

@@ -70,6 +70,19 @@ def test_classify_budget_env(monkeypatch):
     assert code == 3
 
 
+def test_classify_wilson_needs_two_exponents():
+    code, out, err = run(["classify", fixture_path("k33.bg"), "--wilson", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: --wilson expects 'r,s', got '1'\n"
+
+
+def test_classify_budget_env_not_an_integer(monkeypatch):
+    code, out, err = run(["classify", fixture_path("k33.bg")],
+                         env={"DESSIN_BUDGET": "abc"}, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "error: DESSIN_BUDGET is not an integer: 'abc'\n"
+
+
 def test_classify_wilson_flag():
     code, out, _ = run(["classify", fixture_path("k33.bg"),
                         "--emit", "json", "--wilson", "2,2"])

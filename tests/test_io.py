@@ -155,6 +155,14 @@ def _set_sigma(doc, value):
     doc["records"][0]["sigma"] = value
 
 
+def _set_tau(doc, value):
+    doc["records"][0]["tau"] = value
+
+
+def _set_aut_generators(doc, value):
+    doc["records"][0]["aut_generators"] = value
+
+
 @pytest.mark.parametrize("corrupt, value", [
     (_set_monodromy_order, "abc"),
     (_set_monodromy_order, [6]),
@@ -165,12 +173,44 @@ def _set_sigma(doc, value):
     (_set_record, 7),
     (_set_sigma, 5),
     (_set_sigma, None),
+    (_set_sigma, ["(", ")"]),
+    (_set_tau, {"a": 1}),
+    (_set_aut_generators, [[6]]),
+    (_set_aut_generators, 6),
 ])
 def test_parse_rejects_malformed_values_with_record_index(k33_report, corrupt, value):
     doc = json.loads(serialize_report(k33_report.report, "json"))
     corrupt(doc, value)
     with pytest.raises(ReportFormatError, match="^record 0"):
         parse_report(json.dumps(doc))
+
+
+@pytest.mark.parametrize("path, message", [
+    (None, "top level must be an object"),
+    (("graph",), "missing graph section"),
+    (("graph", "alpha"), "graph section missing 'alpha'"),
+    (("records",), "missing records list"),
+    (("genus_histogram",), "missing genus_histogram"),
+    (("dualizable_histogram",), "missing dualizable_histogram"),
+])
+def test_parse_rejects_missing_sections(k33_report, path, message):
+    doc = json.loads(serialize_report(k33_report.report, "json"))
+    if path is None:
+        doc = [doc]
+    else:
+        *parents, last = path
+        section = doc
+        for key in parents:
+            section = section[key]
+        del section[last]
+    with pytest.raises(ReportFormatError, match=f"^{message}$"):
+        parse_report(json.dumps(doc))
+
+
+def test_serialize_rejects_unknown_format(k33_report):
+    doc = build_document(k33_report.report)
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        serialize_document(doc, "xml")
 
 
 def test_parse_rejects_bad_graph_e_without_records(k33_report):

@@ -115,3 +115,14 @@ def test_membership_failure_reports_vertex():
     broken = parse_cycles("(1,2,4)(3,5,6)(7,8,9)", 9)
     offender = membership_failure(g, broken, tau_bad)
     assert offender is not None
+
+
+def test_membership_failure_reports_degree_and_white_vertex():
+    g = load_bipartite("k33.bg")
+    sigma = parse_cycles(corpus.K33["sigma1"], 9)
+    tau = parse_cycles("(1,4,7)(2,5,8)(3,6,9)", 9)
+    assert membership_failure(g, parse_cycles("()", 8), tau) == "degree"
+    assert membership_failure(g, sigma, parse_cycles("()", 10)) == "degree"
+    # sigma is a rotation system of the black side; the identity puts no
+    # cycle on the first white vertex
+    assert membership_failure(g, sigma, parse_cycles("()", 9)) == "w1"
