@@ -296,28 +296,28 @@ def _vertex_automorphisms(graph):
     ``("w", v)`` to the image vertex in the same form.  Every traversal
     below runs over sorted structures so the result order is independent of
     hash seeds, run to run.
+
+    A candidate v for u must keep the edge count to every placed vertex x,
+    ``adj[u][x] == adj[v][fwd[x]]`` (absent is 0).  The check reads only u's
+    c placed neighbours and asks v to have exactly c placed neighbours: as
+    fwd is injective, their images are then all of v's placed neighbours, so
+    placed non-neighbours of u map to non-neighbours of v.  The same maps
+    come out, in the same order, as with the check against every placed x.
     """
     verts = [("b", v) for v in graph.blacks] + [("w", v) for v in graph.whites]
-    mult = {}
-    nbr_sets = {u: set() for u in verts}
+    adj = {u: {} for u in verts}    # adj[u][v]: edges between u and v
     for _, b, w in graph.edges:
-        key = (("b", b), ("w", w))
-        mult[key] = mult.get(key, 0) + 1
-        nbr_sets[("b", b)].add(("w", w))
-        nbr_sets[("w", w)].add(("b", b))
-    nbrs = {u: tuple(sorted(s, key=lambda x: (x[0], str(x[1])))) for u, s in nbr_sets.items()}
-
-    def m(u, v):
-        if u[0] == "b":
-            return mult.get((u, v), 0)
-        return mult.get((v, u), 0)
+        bu, wu = ("b", b), ("w", w)
+        adj[bu][wu] = adj[bu].get(wu, 0) + 1
+        adj[wu][bu] = adj[wu].get(bu, 0) + 1
+    nbrs = {u: tuple(sorted(a, key=lambda x: (x[0], str(x[1])))) for u, a in adj.items()}
 
     # iterated invariant refinement: color, degree, then neighbor signatures
     inv = {u: (u[0], graph.degree(u[1])) for u in verts}
     nclasses = len(set(inv.values()))
     while True:
         sig = {
-            u: (inv[u], tuple(sorted((inv[v], m(u, v)) for v in nbrs[u])))
+            u: (inv[u], tuple(sorted((inv[v], k) for v, k in adj[u].items())))
             for u in verts
         }
         ids = {s: i for i, s in enumerate(sorted(set(sig.values()), key=repr))}
@@ -370,13 +370,11 @@ def _vertex_automorphisms(graph):
             results.append(dict(fwd))
             return
         u = order[i]
+        images = [(fwd[x], k) for x, k in adj[u].items() if x in fwd]
         for v in candidates(u):
-            ok = True
-            for x in fwd:
-                if m(u, x) != m(v, fwd[x]):
-                    ok = False
-                    break
-            if ok:
+            av = adj[v]
+            if (all(av.get(y) == k for y, k in images)
+                    and sum(1 for y in av if y in back) == len(images)):
                 fwd[u] = v
                 back[v] = u
                 extend(i + 1)

@@ -276,7 +276,7 @@ def classify(
                 raise InternalInvariantError(
                     f"duality oracle disagrees at orbit {orbit_id}"
                 )
-        mirrored = action.least(pair.sigma.inverse()._table, pair.tau.inverse()._table)
+        mirrored = action.least(_invert(key[0], graph.e), _invert(key[1], graph.e))
         partner = key_to_orbit.get(mirrored)
         if partner is None:
             raise InternalInvariantError(

@@ -44,14 +44,16 @@ def _certificate_words(generators):
     generators' tables, repeated cyclically; step j replaces slot i by the
     product of slots i and l for the j-th pair of a fixed cycle through the
     ordered pairs of distinct slots, then multiplies the word by the new slot.
+    With n slots, the cycle lists (i, i + 1), then (i, i + 2), ... modulo n,
+    i running over all slots each time; its j-th pair is computed on demand.
     """
     slots = [generators[i % len(generators)]._table
              for i in range(max(CERTIFICATE_SLOTS, len(generators)))]
     n = len(slots)
-    schedule = [(i, (i + d) % n) for d in range(1, n) for i in range(n)]
     word = _IDENT256
     for j in range(CERTIFICATE_WORDS):
-        i, l = schedule[j % len(schedule)]
+        d, i = divmod(j % (n * (n - 1)), n)
+        l = (i + d + 1) % n
         slots[i] = slots[i].translate(slots[l])
         word = word.translate(slots[i])
         yield word
@@ -117,10 +119,11 @@ class PermGroup:
     """Group generated by permutations of a common degree.
 
     The BSGS is built lazily on the first query that needs it; afterwards
-    the group is read-only.
+    the group is read-only.  The base is not a parameter: each base point is
+    the smallest label moved by a generator fixing the points before it.
     """
 
-    def __init__(self, generators, degree=None, base=None):
+    def __init__(self, generators, degree=None):
         generators = list(generators)
         if degree is None:
             if not generators:
@@ -133,7 +136,6 @@ class PermGroup:
                 )
         self.degree = degree
         self.generators = tuple(generators)
-        self._initial_base = tuple(b - 1 for b in base) if base else ()
         self._levels = None
         self._order = None
 
@@ -182,13 +184,9 @@ class PermGroup:
                 t = t.translate(entry[1])
             return t, len(levels)
 
-        gens0 = []
-        for g in self.generators:
-            t = g._table
-            if not is_ident(t) and t not in gens0:
-                gens0.append(t)
-        for b in self._initial_base:
-            levels.append(_Level(b))
+        # first occurrences, in order, by hashing the tables
+        gens0 = [t for t in dict.fromkeys(g._table for g in self.generators)
+                 if not is_ident(t)]
         for t in gens0:
             if all(t[lv.base] == lv.base for lv in levels):
                 levels.append(_Level(smallest_moved(t)))
@@ -287,12 +285,12 @@ class PermGroup:
     def point_stabilizer_order(self, point):
         return self.order() // len(self.orbit(point))
 
-    def elements(self, cap=DEFAULT_ELEMENTS_CAP):
-        """Every element exactly once; refuses groups larger than ``cap``."""
+    def elements(self):
+        """Every element exactly once; refuses more than ``DEFAULT_ELEMENTS_CAP``."""
         n = self.order()
-        if n > cap:
+        if n > DEFAULT_ELEMENTS_CAP:
             raise CapExceededError(
-                f"group order {n} exceeds enumeration cap {cap}"
+                f"group order {n} exceeds enumeration cap {DEFAULT_ELEMENTS_CAP}"
             )
         self._build()
         degree = self.degree

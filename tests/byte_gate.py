@@ -3,9 +3,12 @@
 The matrix covers ``dessins classify`` on the six small ``.bg`` fixtures in
 every ``--emit`` format, with and without ``--wilson 1,1``;
 ``genus-range --histogram`` on every ``.g`` fixture but K6; ``autgroup`` on
-every ``.bg`` fixture; ``analyze`` on the first three records of each small
-fixture, and on one pair that is not a rotation system of its graph; and the
-library JSON of ``frucht_clean`` and ``double_prism`` without monodromy.
+every ``.bg`` fixture; ``classify --emit json`` on the 6-leaf star, whose
+719 generators and 5 listed stabilizer elements pin the automorphism
+backtracker and the stabilizer chain on a dense group; ``analyze`` on the
+first three records of each small fixture, and on one pair that is not a
+rotation system of its graph; and the library JSON of ``frucht_clean`` and
+``double_prism`` without monodromy.
 Each entry pins the exit code and the sha256 of the output text encoded as
 UTF-8.
 
@@ -30,7 +33,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 DIGESTS = os.path.join(os.path.dirname(__file__), "byte_digests.json")
 
 SMALL_BG = ("a4_clean", "c33", "d33", "k33", "k33_clean", "k5_clean")
-ALL_BG = SMALL_BG + ("double_prism", "frucht_clean")
+ALL_BG = SMALL_BG + ("double_prism", "frucht_clean", "k44", "star6")
 PLAIN = ("c3", "c5", "frucht", "k33", "k5")
 LIBRARY_JSON = ("frucht_clean", "double_prism")
 
@@ -75,6 +78,9 @@ def cases(threads=1):
                 argv = ["classify", path, "--emit", emit, "--threads", str(threads), *wilson]
                 label = f"classify {name}.bg --emit {emit}" + (" --wilson 1,1" if wilson else "")
                 yield label, lambda argv=argv: _cli(argv)
+    argv = ["classify", os.path.join(FIXTURES, "star6.bg"), "--emit", "json",
+            "--threads", str(threads)]
+    yield "classify star6.bg --emit json", lambda argv=argv: _cli(argv)
     for name in PLAIN:
         argv = ["genus-range", os.path.join(FIXTURES, name + ".g"), "--histogram"]
         yield f"genus-range {name}.g --histogram", lambda argv=argv: _cli(argv)
@@ -86,7 +92,7 @@ def cases(threads=1):
             yield f"analyze {name}.bg record {i}", lambda name=name, i=i: _analyze(name, i)
     # the identity pair puts no rotation at a vertex of degree 3
     argv = ["analyze", os.path.join(FIXTURES, "k33.bg"), "--sigma", "()", "--tau", "()"]
-    yield "analyze k33.bg refused pair", lambda: _cli(argv)
+    yield "analyze k33.bg refused pair", lambda argv=argv: _cli(argv)
     for name in LIBRARY_JSON:
         yield f"library json {name}.bg", lambda name=name: _library_json(name, threads)
 

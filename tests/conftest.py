@@ -1,4 +1,5 @@
 import os
+import subprocess
 import sys
 import time
 
@@ -6,6 +7,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+import dessins
 from dessins import canonical_form, classify, parse_bipartite, parse_cycles, parse_plain
 from dessins.rotation import RotationPair
 
@@ -44,6 +46,39 @@ def load_bipartite(name):
 
 def load_plain(name):
     return parse_plain(fixture_text(name))
+
+
+def star_text(leaves):
+    """A star: one black centre joined to ``leaves`` white leaves."""
+    lines = ["black c", "white " + " ".join(f"w{i}" for i in range(leaves))]
+    lines += [f"edge c w{i}" for i in range(leaves)]
+    return "\n".join(lines) + "\n"
+
+
+def complete_bipartite_text(m, n):
+    """K_{m,n}, edges labeled row by row."""
+    lines = ["black " + " ".join(f"b{i}" for i in range(m)),
+             "white " + " ".join(f"w{j}" for j in range(n))]
+    lines += [f"edge b{i} w{j}" for i in range(m) for j in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+def run_capped(code):
+    """Run ``code`` in a child interpreter with its address space capped at 3 GB.
+
+    Under the cap a runaway allocation ends the child with MemoryError
+    instead of exhausting the host.  Returns the child's exit code and its
+    stdout and stderr as text.
+    """
+    resource = pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(dessins.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9)),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TimedReport:

@@ -17,7 +17,7 @@ from dessins import (
 )
 
 import corpus
-from conftest import load_bipartite, load_plain
+from conftest import complete_bipartite_text, load_bipartite, load_plain, run_capped, star_text
 
 
 def test_parse_k33_fixture():
@@ -306,3 +306,19 @@ def test_cleanify_admits_a_byte_of_labels():
     assert cleanify(PlainGraph(ids[:129], [(i, ids[i - 1], ids[i]) for i in range(1, 129)])).e == 256
     with pytest.raises(GraphStructureError, match="^258 edges exceed the limit of 256 labels$"):
         cleanify(PlainGraph(ids, [(i, ids[i - 1], ids[i]) for i in range(1, 130)]))
+
+
+@pytest.mark.parametrize("text, order", [
+    (star_text(8), 40320),
+    (complete_bipartite_text(5, 5), 14400),
+], ids=["star8", "k55"])
+def test_large_automorphism_groups_within_memory(text, order):
+    # every vertex automorphism but the identity is a generator of theta:
+    # 40319 and 14399 of them, which must neither be compared pairwise nor
+    # expand into a quadratic schedule of certificate slots
+    code, out, err = run_capped(
+        "from dessins import automorphism_group, parse_bipartite\n"
+        f"print(automorphism_group(parse_bipartite({text!r})).group_order)\n"
+    )
+    assert code == 0, err[-2000:]
+    assert out == f"{order}\n"

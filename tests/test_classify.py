@@ -24,7 +24,7 @@ from dessins import (
 from dessins.rotation import RotationPair, membership_failure
 
 import corpus
-from conftest import load_bipartite, record_for
+from conftest import load_bipartite, record_for, run_capped, star_text
 
 
 def P(s, n):
@@ -401,3 +401,15 @@ def test_double_prism_drawing_subgroup(dp_drawing_report):
                     corpus.DOUBLE_PRISM["tau"], group=sub)
     assert d1.mirror_status == "chiral" and d1.aut_order == 2
     assert d2.mirror_status == "reflexive" and d2.aut_order == 1
+
+
+def test_eight_leaf_star_within_memory():
+    # |G| = 8! = 40320 with 40319 generators; the only dessin is the
+    # 8-cycle, fixed by its own rotations
+    code, out, err = run_capped(
+        "from dessins import classify, parse_bipartite\n"
+        f"report = classify(parse_bipartite({star_text(8)!r}), with_monodromy=False)\n"
+        "print([(r.orbit_length, r.aut_order) for r in report.records])\n"
+    )
+    assert code == 0, err[-2000:]
+    assert out == "[(5040, 8)]\n"

@@ -11,8 +11,14 @@ from dessins import (
     identity,
     parse_cycles,
 )
-from dessins.perm import random_permutation
-from dessins.permgroup import _has_cycle_of_length, _jordan_order
+from dessins.perm import Permutation, _IDENT256, random_permutation
+from dessins.permgroup import (
+    CERTIFICATE_SLOTS,
+    CERTIFICATE_WORDS,
+    _certificate_words,
+    _has_cycle_of_length,
+    _jordan_order,
+)
 
 import corpus
 
@@ -135,8 +141,11 @@ def test_elements_stream():
     for e in elems:
         assert g.contains(e)
 
-    with pytest.raises(CapExceededError):
-        list(g.elements(cap=35))
+    # S_10 is a certified giant, so the refusal needs no build
+    s10 = group_from_generators([P("(1,2,3,4,5,6,7,8,9,10)", 10), P("(1,2)", 10)])
+    with pytest.raises(CapExceededError,
+                       match="group order 3628800 exceeds enumeration cap 1000000"):
+        next(s10.elements())
 
 
 def test_all_generators_even():
@@ -145,10 +154,17 @@ def test_all_generators_even():
 
 
 def test_order_independent_of_base():
+    # conjugating the generators by a relabeling moves the smallest moved
+    # points, and with them the base
     gens = [P(s, 9) for s in corpus.K33["etas"]]
     reference = group_from_generators(gens).order()
-    for base in ([9, 1], [5], [3, 7, 2]):
-        assert PermGroup(gens, base=base).order() == reference
+    bases = set()
+    for r in ("(1,9)", "(1,5)(2,6)", "(1,3,7,2)"):
+        r = P(r, 9)
+        g = group_from_generators([compose(compose(r.inverse(), s), r) for s in gens])
+        assert g.order() == reference
+        bases.add(g.base())
+    assert len(bases) == 3
 
 
 def test_order_matches_closure_for_small_groups():
@@ -309,3 +325,92 @@ def test_queries_after_certified_order():
     assert g.order() == 40320
     assert g._levels is None
     assert len(set(g.elements())) == 40320
+
+
+def reference_certificate_words(generators):
+    """The certificate words from the whole schedule of slot pairs, built up front."""
+    slots = [generators[i % len(generators)]._table
+             for i in range(max(CERTIFICATE_SLOTS, len(generators)))]
+    n = len(slots)
+    schedule = [(i, (i + d) % n) for d in range(1, n) for i in range(n)]
+    word = _IDENT256
+    words = []
+    for j in range(CERTIFICATE_WORDS):
+        i, l = schedule[j % len(schedule)]
+        slots[i] = slots[i].translate(slots[l])
+        word = word.translate(slots[i])
+        words.append(word)
+    return words
+
+
+@pytest.mark.parametrize("count", range(1, 13))
+def test_certificate_words_match_the_full_schedule(count):
+    # up to 8 generators the 64 words wrap around the schedule
+    rng = random.Random(count)
+    gens = [random_permutation(9, rng) for _ in range(count)]
+    assert list(_certificate_words(gens)) == reference_certificate_words(gens)
+
+
+def test_certificate_words_memory_independent_of_generator_count():
+    import tracemalloc
+
+    rng = random.Random(5)
+    gens = [random_permutation(12, rng) for _ in range(1000)]
+    tracemalloc.start()
+    try:
+        words = list(_certificate_words(gens))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(words) == CERTIFICATE_WORDS
+    assert peak < 10**6
+
+
+def random_transitive_generators(n, rng):
+    """Two generators of a random transitive group of degree n, relabeled.
+
+    For composite n: the n-cycle x -> x + 1 and a random permutation
+    keeping the residue classes modulo a divisor k of n as blocks, most
+    often an imprimitive group.  For prime n: x -> x + 1 and x -> a * x,
+    a subgroup of AGL(1, n).  Every third group instead pairs the n-cycle
+    with a random permutation, most often a giant.
+    """
+    shift = [(x + 1) % n for x in range(n)]
+    divisors = [k for k in range(2, n) if n % k == 0]
+    if rng.randrange(3) == 0:
+        other = rng.sample(range(n), n)
+    elif divisors:
+        k = rng.choice(divisors)
+        blocks = rng.sample(range(k), k)
+        inner = [rng.sample(range(n // k), n // k) for _ in range(k)]
+        other = [blocks[x % k] + k * inner[x % k][x // k] for x in range(n)]
+    else:
+        a = rng.randrange(2, n)
+        other = [a * x % n for x in range(n)]
+    relabel = rng.sample(range(n), n)
+    back = [0] * n
+    for x, y in enumerate(relabel):
+        back[y] = x
+    return [
+        Permutation([relabel[g[back[y]]] + 1 for y in range(n)])
+        for g in (shift, other)
+    ]
+
+
+def test_certified_orders_on_random_transitive_groups():
+    rng = random.Random(47)
+    certified = declined = 0
+    for n in range(8, 15):
+        for _ in range(6):
+            gens = random_transitive_generators(n, rng)
+            g = group_from_generators(gens)
+            assert g.is_transitive()
+            certificate = _jordan_order(g)
+            reference = schreier_sims_order(gens)
+            assert g.order() == reference == sympy_order(gens)
+            if certificate is None:
+                declined += 1
+            else:
+                certified += 1
+                assert certificate == reference
+    assert certified > 0 and declined > 0

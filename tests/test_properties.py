@@ -4,7 +4,9 @@ The main oracle uses only the public ``act``: it closes each rotation pair
 under every group element to get the orbits, and counts fixed pairs for
 Burnside's lemma.  A second oracle canonicalizes every pair on its own
 and counts the pairs per canonical form.  The classification must agree
-with both.  The last property holds the exact genus search of
+with both.  The vertex automorphisms of the backtracker must be exactly
+the color-preserving, multiplicity-preserving bijections found by brute
+force.  The genus property holds the exact search of
 ``graphgenus`` to the brute-force oracle of ``genus_oracle`` on random
 plain multigraphs.  The cycle notation properties hold ``parse_cycles``
 to the character walk of ``cycles_oracle`` on random text, well formed or
@@ -12,6 +14,7 @@ not, and ``format_cycles`` to its label-by-label walk.
 """
 
 import itertools
+import math
 from collections import Counter
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -31,6 +34,7 @@ from dessins import (
     parse_cycles,
     stabilizer,
 )
+from dessins.bgraph import _vertex_automorphisms
 from dessins.perm import Permutation
 from dessins.rotation import _Radix
 
@@ -142,6 +146,37 @@ def test_classification_agrees_with_act_oracle(graph):
             assert partner.mirror_partner == rec.orbit_id
         else:
             assert rec.mirror_partner is None
+
+
+def brute_force_vertex_automorphisms(graph):
+    """Every bijection of each color class that keeps all edge multiplicities."""
+    mult = Counter((b, w) for _, b, w in graph.edges)
+    found = []
+    for pb in itertools.permutations(graph.blacks):
+        fb = dict(zip(graph.blacks, pb))
+        for pw in itertools.permutations(graph.whites):
+            fw = dict(zip(graph.whites, pw))
+            if all(mult[(fb[b], fw[w])] == k for (b, w), k in mult.items()):
+                found.append(frozenset(
+                    [(("b", b), ("b", fb[b])) for b in graph.blacks]
+                    + [(("w", w), ("w", fw[w])) for w in graph.whites]
+                ))
+    return found, mult
+
+
+@settings(seeded, max_examples=300)
+@given(small_graphs())
+def test_vertex_automorphisms_agree_with_brute_force(graph):
+    # the backtracker checks edge counts at placed neighbours only; the
+    # brute force checks them at every pair of vertices
+    autos = [frozenset(fwd.items()) for fwd in _vertex_automorphisms(graph)]
+    assert len(set(autos)) == len(autos)
+    expected, mult = brute_force_vertex_automorphisms(graph)
+    assert set(autos) == set(expected)
+    order = len(expected)
+    for k in mult.values():
+        order *= math.factorial(k)
+    assert automorphism_group(graph).group_order == order
 
 
 def pinned_order(graph):
