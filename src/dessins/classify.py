@@ -6,12 +6,14 @@ the orbits of the edge-action group G.  The census is orderly orbit
 enumeration in the spirit of McKay, "Isomorph-free exhaustive generation"
 (J. Algorithms 1998): it keeps one mark per stream rank and jumps from
 each unmarked rank to the next (``bytearray.find``), unranking only the
-pair found there.  It takes that pair's lexicographically least conjugate
-as the orbit's representative, conjugates the representative by every
-element of G and marks the rank of each image.  The images equal to the
-representative give its stabilizer, the dessin's orientation-preserving
-automorphism group.  The work is a scan of N bytes of marks, one unrank
-per orbit, N ranks and orbits * |G| conjugations.
+pair found there.  It conjugates that pair by every element of G, takes
+the lexicographically least image as the orbit's representative and marks
+the rank of each image.  An orbit of |G| distinct images is free, with a
+trivial stabilizer; only the other orbits have the stabilizer, the
+dessin's orientation-preserving automorphism group, read off the
+representative's own conjugates.  The work is a scan of N bytes of marks,
+one unrank per orbit, N ranks and orbits * |G| conjugations, plus |G| for
+each non-free orbit whose representative is not the pair found.
 
 When the monodromy groups are wanted, their Schreier-Sims builds dominate,
 so the per-orbit invariants run in a fork pool over contiguous chunks of
@@ -161,10 +163,13 @@ def _check_keeps_family(graph, theta):
     vertices with a single rotation, since ranks do not read their labels.
     """
     for labels in (graph.black_labels, graph.white_labels):
-        blocks = {frozenset(ls) for ls in labels.values()}
+        # 0-based label bytes, so each image set is one translate
+        sets = [(vertex, bytes(l - 1 for l in ls)) for vertex, ls in labels.items()]
+        blocks = {frozenset(ls) for _, ls in sets}
         for g in theta.generators:
-            for vertex, ls in labels.items():
-                if frozenset(g(l) for l in ls) not in blocks:
+            table = g._table
+            for vertex, ls in sets:
+                if frozenset(ls.translate(table)) not in blocks:
                     raise InternalInvariantError(
                         f"the group left the family: {format_cycles(g)} maps the "
                         f"labels of vertex {vertex!r} to no vertex of its colour"
@@ -183,8 +188,6 @@ def _orbit_census(radix, action):
         s, t = radix.unrank(index)
         images = action.pair_images(s, t)
         rep = min(images)
-        if rep != (s, t):  # the stabilizer is read off rep's own conjugates
-            images = action.pair_images(*rep)
         orbit = set(images)
         for image in orbit:
             try:
@@ -198,18 +201,23 @@ def _orbit_census(radix, action):
             marked[rank] = 1
         if not marked[index]:
             raise InternalInvariantError(f"pair {index} missing from its own orbit")
-        census[rep] = (len(orbit), *action.fixing(images, rep))
+        if len(orbit) == len(images):  # a free orbit: trivial stabilizer
+            census[rep] = (len(orbit), 1, ())
+        else:  # the stabilizer is read off rep's own conjugates
+            if rep != (s, t):
+                images = action.pair_images(*rep)
+            census[rep] = (len(orbit), *action.fixing(images, rep))
         index = marked.find(0, index + 1)
     return census
 
 
 def _invariants_worker(args):
-    pairs, with_monodromy = args
-    return [invariants(pair, with_monodromy=with_monodromy) for pair in pairs]
+    pairs, with_monodromy, passport = args
+    return [invariants(pair, with_monodromy, passport=passport) for pair in pairs]
 
 
-def _orbit_invariants(pairs, threads, with_monodromy):
-    """invariants() of each pair, in order.
+def _orbit_invariants(pairs, threads, with_monodromy, passport):
+    """invariants() of each pair of the family with this graph passport, in order.
 
     Only the monodromy groups cost enough to pay for forking; the workers
     are bounded by the cores and the pairs, so a large ``threads`` forks
@@ -217,9 +225,9 @@ def _orbit_invariants(pairs, threads, with_monodromy):
     """
     processes = min(threads, os.cpu_count() or 1, len(pairs))
     if not with_monodromy or processes <= 1:
-        return _invariants_worker((pairs, with_monodromy))
+        return _invariants_worker((pairs, with_monodromy, passport))
     jobs = [
-        (pairs[slice(*chunk_bounds(len(pairs), i, processes))], with_monodromy)
+        (pairs[slice(*chunk_bounds(len(pairs), i, processes))], with_monodromy, passport)
         for i in range(processes)
     ]
     with multiprocessing.get_context("fork").Pool(processes) as pool:
@@ -259,7 +267,7 @@ def classify(
 
     key_to_orbit = {key: i for i, key in enumerate(sorted(census))}
     pairs = [_pair_from_tables(*key, graph) for key in key_to_orbit]
-    invs = _orbit_invariants(pairs, threads, with_monodromy)
+    invs = _orbit_invariants(pairs, threads, with_monodromy, graph.passport())
     records = []
     genus_histogram = {}
     dualizable_histogram = {}

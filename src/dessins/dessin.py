@@ -65,22 +65,35 @@ def monodromy_group(pair):
     return PermGroup([pair.sigma, pair.tau])
 
 
-def invariants(pair, with_monodromy=True):
+def invariants(pair, with_monodromy=True, *, passport=None):
     """The invariant bundle of one rotation pair.
 
     ``with_monodromy=False`` skips the monodromy group entirely; the
     corresponding fields come back None.
+
+    Given the ``GraphPassport`` of a pair of its graph's rotation family,
+    the transitivity check and the cycle walks of sigma and tau are
+    skipped.  Proof: in a family pair the sigma-cycles are the label sets
+    of the black vertices and the tau-cycles those of the white ones, so
+    the orbits of <sigma, tau> are the edge sets of the graph's components,
+    one since ``BipartiteGraph`` refuses disconnected graphs, and the two
+    cycle types are the passport's degree tuples.
+
+    An odd sigma- or tau-cycle, a fixed point included, cannot alternate
+    two face colours, so the pair is not dualizable.
     """
     sigma, tau = pair.sigma, pair.tau
     e = sigma.degree
-    group = monodromy_group(pair)
-    if not group.is_transitive():
-        raise NonTransitiveError(
-            "sigma and tau do not generate a transitive group; "
-            "the underlying graph is disconnected"
-        )
-    black = cycle_type(sigma)
-    white = cycle_type(tau)
+    if passport is None:
+        if not monodromy_group(pair).is_transitive():
+            raise NonTransitiveError(
+                "sigma and tau do not generate a transitive group; "
+                "the underlying graph is disconnected"
+            )
+        black = cycle_type(sigma)
+        white = cycle_type(tau)
+    else:
+        black, white = passport.black_degrees, passport.white_degrees
     faces = cycle_type(face_permutation(pair))
     alpha, beta, gamma = len(black), len(white), len(faces)
     euler = e - alpha - beta - gamma
@@ -91,7 +104,7 @@ def invariants(pair, with_monodromy=True):
         raise AssertionError(f"negative genus {genus}")
     order = fingerprint = regular = None
     if with_monodromy:
-        order = group.order()
+        order = monodromy_group(pair).order()
         # a permutation of e points with c cycles has parity e - c; the group
         # is transitive, so a point's stabilizer has index e
         odd = (e - alpha) % 2 + (e - beta) % 2
@@ -110,7 +123,7 @@ def invariants(pair, with_monodromy=True):
         monodromy_fingerprint=fingerprint,
         regular=regular,
         uniform=len(set(black)) == 1 and len(set(white)) == 1 and len(set(faces)) == 1,
-        dualizable=is_dualizable(pair),
+        dualizable=all(d % 2 == 0 for d in black + white) and is_dualizable(pair),
     )
 
 

@@ -54,7 +54,7 @@ def _record_sort_key(rec):
     )
 
 
-def _record_to_json(rec, wilson_targets=None):
+def _record_to_json(rec, wilson_targets, cycles):
     inv = rec.invariants
     fp = inv.monodromy_fingerprint
     mirror = {"status": rec.mirror_status}
@@ -62,11 +62,11 @@ def _record_to_json(rec, wilson_targets=None):
         mirror["partner_orbit_id"] = rec.mirror_partner
     out = {
         "orbit_id": rec.orbit_id,
-        "sigma": format_cycles(rec.representative.sigma),
-        "tau": format_cycles(rec.representative.tau),
+        "sigma": cycles(rec.representative.sigma),
+        "tau": cycles(rec.representative.tau),
         "orbit_length": rec.orbit_length,
         "aut_order": rec.aut_order,
-        "aut_generators": [format_cycles(g) for g in rec.aut_generators],
+        "aut_generators": [cycles(g) for g in rec.aut_generators],
         "genus": inv.genus,
         "passport": {
             "black": list(inv.passport.black),
@@ -97,6 +97,14 @@ def build_document(report, wilson_targets=None):
     graph = report.graph
     passport = graph.passport()
     ordered = sorted(report.records, key=_record_sort_key)
+    texts = {}  # padded table -> cycle text, which the degree does not change
+
+    def cycles(p):
+        text = texts.get(p._table)
+        if text is None:
+            text = texts[p._table] = format_cycles(p)
+        return text
+
     data = {
         "schema_version": SCHEMA_VERSION,
         "graph": {
@@ -108,7 +116,7 @@ def build_document(report, wilson_targets=None):
             "aut_group_order": report.group_order,
             "candidate_count": str(report.candidate_count),
         },
-        "records": [_record_to_json(r, wilson_targets) for r in ordered],
+        "records": [_record_to_json(r, wilson_targets, cycles) for r in ordered],
         "genus_histogram": {str(k): v for k, v in sorted(report.genus_histogram.items())},
         "dualizable_histogram": {
             str(k): v for k, v in sorted(report.dualizable_histogram.items())

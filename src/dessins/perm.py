@@ -116,11 +116,12 @@ class Permutation:
 
 
 def _invert(table, degree):
-    """The inverse of a 0-based image table, padded to 256 bytes."""
-    out = bytearray(_IDENT256)
-    for i in range(degree):
-        out[table[i]] = i
-    return bytes(out)
+    """The inverse of a 0-based image table, padded to 256 bytes.
+
+    ``maketrans`` sends each image back to its point and every byte from
+    ``degree`` on to itself.
+    """
+    return bytes.maketrans(table[:degree], _IDENT256[:degree])
 
 
 def identity(degree):
@@ -143,7 +144,8 @@ def conjugate(p, g):
 
 def cycle_type(p):
     """Disjoint-cycle lengths, fixed points included, as an ascending tuple."""
-    seen = [False] * p.degree
+    table = p._table
+    seen = [False] * p.degree  # a list indexes faster than a bytearray
     lengths = []
     for i in range(p.degree):
         if seen[i]:
@@ -152,10 +154,11 @@ def cycle_type(p):
         j = i
         while not seen[j]:
             seen[j] = True
-            j = p._table[j]
+            j = table[j]
             n += 1
         lengths.append(n)
-    return tuple(sorted(lengths))
+    lengths.sort()
+    return tuple(lengths)
 
 
 def is_even(p):

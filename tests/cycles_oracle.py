@@ -3,7 +3,8 @@
 ``parse_cycles`` is the character walk that was once the only parser; the
 library keeps it for text its table-speed path does not take, so here it
 is the oracle for every text, well formed or not.  ``format_cycles`` lists
-the cycles by walking the images label by label.
+the cycles, and ``cycle_lengths`` their lengths, by walking the images
+label by label.
 """
 
 from dessins import CycleParseError, Permutation
@@ -88,3 +89,21 @@ def format_cycles(p):
         if len(cyc) > 1:
             cycles.append("(" + ",".join(map(str, cyc)) + ")")
     return "".join(cycles) or "()"
+
+
+def cycle_lengths(p):
+    """The length of each cycle, fixed points included, by least label."""
+    images = p.images
+    seen = [False] * p.degree
+    lengths = []
+    for start in range(1, p.degree + 1):
+        if seen[start - 1]:
+            continue
+        n = 0
+        nxt = start
+        while not seen[nxt - 1]:
+            seen[nxt - 1] = True
+            nxt = images[nxt - 1]
+            n += 1
+        lengths.append(n)
+    return lengths

@@ -320,8 +320,12 @@ def test_group_override_that_leaves_the_family_is_refused():
     graph = load_bipartite("k33.bg")
     # labels 1 and 4 sit at different black vertices: not an automorphism
     bogus = PermGroup([P("(1,4)", 9)])
-    with pytest.raises(InternalInvariantError, match="left the family"):
+    with pytest.raises(InternalInvariantError) as exc:
         classify(graph, group=bogus, with_monodromy=False)
+    assert str(exc.value) == (
+        "the group left the family: (1,4) maps the labels of vertex 'b1' "
+        "to no vertex of its colour"
+    )
 
 
 def test_group_override_that_moves_a_single_rotation_vertex_is_refused():
@@ -364,6 +368,20 @@ def test_double_prism_full_group(dp_report):
     assert len(special) == 4
     assert all(r.invariants.monodromy_order == 980995276800 for r in special)
     assert sum(1 for r in special if r.mirror_status == "reflexive") == 2
+
+
+def test_double_prism_free_orbits(dp_report):
+    # 917 of the 1042 orbits are free: their stabilizers are trivial
+    group = dp_report.group
+    free = [r for r in dp_report.records if r.orbit_length == dp_report.group_order]
+    assert len(free) == 917
+    for rec in free:
+        assert rec.aut_order == 1 and rec.aut_generators == ()
+        assert stabilizer(rec.representative, group).order() == 1
+    for rec in dp_report.records:
+        if rec.orbit_length < dp_report.group_order:
+            assert rec.aut_order > 1
+            assert len(rec.aut_generators) == rec.aut_order - 1
 
 
 def test_double_prism_drawing_subgroup(dp_drawing_report):

@@ -13,7 +13,7 @@ from dessins import (
     is_even,
     parse_cycles,
 )
-from dessins.perm import MAX_DEGREE, random_permutation
+from dessins.perm import MAX_DEGREE, _IDENT256, _invert, random_permutation
 
 
 def P(s, n):
@@ -58,6 +58,27 @@ def test_inverse():
     for _ in range(50):
         p = random_permutation(rng.randint(1, 15), rng)
         assert compose(p, p.inverse()).is_identity()
+
+
+def invert_by_loop(table, degree):
+    """The inverse table one label at a time, as ``_invert`` once built it."""
+    out = bytearray(_IDENT256)
+    for i in range(degree):
+        out[table[i]] = i
+    return bytes(out)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 36, 255])
+def test_invert_matches_the_label_loop(degree):
+    rng = random.Random(degree)
+    for _ in range(30):
+        p = random_permutation(degree, rng)
+        expected = invert_by_loop(p._table, degree)
+        assert len(expected) == 256 and expected[degree:] == _IDENT256[degree:]
+        # padded or cut to the degree, the table gives the same padded inverse
+        assert _invert(p._table, degree) == expected
+        assert _invert(p._table[:degree], degree) == expected
+        assert p.inverse()._table == expected
 
 
 def test_conjugate():

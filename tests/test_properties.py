@@ -4,13 +4,17 @@ The main oracle uses only the public ``act``: it closes each rotation pair
 under every group element to get the orbits, and counts fixed pairs for
 Burnside's lemma.  A second oracle canonicalizes every pair on its own
 and counts the pairs per canonical form.  The classification must agree
-with both.  The vertex automorphisms of the backtracker must be exactly
+with both.  Its records must carry the invariants that the public
+``invariants`` computes without the graph passport, the duality of
+``dualizable_oracle``, and the same report at two threads as at one; its
+family check must refuse exactly as one call per label would.  The
+vertex automorphisms of the backtracker must be exactly
 the color-preserving, multiplicity-preserving bijections found by brute
 force.  The genus property holds the exact search of
 ``graphgenus`` to the brute-force oracle of ``genus_oracle`` on random
 plain multigraphs.  The cycle notation properties hold ``parse_cycles``
 to the character walk of ``cycles_oracle`` on random text, well formed or
-not, and ``format_cycles`` to its label-by-label walk.
+not, and ``format_cycles`` and ``cycle_type`` to its label-by-label walk.
 """
 
 import itertools
@@ -21,20 +25,27 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from dessins import (
     BipartiteGraph,
+    InternalInvariantError,
+    PermGroup,
     PlainGraph,
     act,
     automorphism_group,
     canonical_form,
     classify,
     cleanify,
+    cycle_type,
+    dualizable_oracle,
     enumerate_pairs,
     format_cycles,
+    invariants,
     local_rotations,
     mirror,
     parse_cycles,
+    serialize_report,
     stabilizer,
 )
 from dessins.bgraph import _vertex_automorphisms
+from dessins.classify import _check_keeps_family
 from dessins.perm import Permutation
 from dessins.rotation import _Radix
 
@@ -230,6 +241,71 @@ def test_marking_census_agrees_with_per_pair_canonicalization(graph):
         assert rec.aut_generators == stabilizer(rec.representative, group).generators
 
 
+@seeded
+@given(small_graphs())
+def test_records_agree_with_the_public_invariants(graph):
+    # classify hands the graph passport to invariants(); the public call
+    # without it walks the cycles and checks transitivity itself
+    assume(graph.candidate_count() * automorphism_group(graph).group_order <= MAX_WORK)
+    check_records_against_the_public_invariants(classify(graph))
+
+
+def check_records_against_the_public_invariants(report):
+    for rec in report.records:
+        assert rec.invariants == invariants(rec.representative, True)
+        assert rec.invariants.dualizable == dualizable_oracle(rec.representative)
+
+
+def test_bundle4_records_agree_with_the_public_invariants():
+    # every degree is even, so duality is decided by the face colouring
+    graph = BipartiteGraph(["b"], ["w"], [(l, "b", "w") for l in range(1, 5)])
+    report = classify(graph)
+    assert [r.invariants.dualizable for r in report.records] == [True, False, True]
+    check_records_against_the_public_invariants(report)
+
+
+@settings(seeded, max_examples=12)
+@given(small_graphs())
+def test_reports_identical_at_two_threads(graph):
+    # with monodromy, two or more orbits go to the fork pool, passport and all
+    assume(graph.candidate_count() * automorphism_group(graph).group_order <= MAX_WORK)
+    solo = classify(graph, threads=1)
+    assume(len(solo.records) >= 2)
+    assert serialize_report(classify(graph, threads=2)) == serialize_report(solo)
+
+
+def family_check_by_label_calls(graph, theta):
+    """The refusal message of ``_check_keeps_family``, one call per label."""
+    for labels in (graph.black_labels, graph.white_labels):
+        blocks = {frozenset(ls) for ls in labels.values()}
+        for g in theta.generators:
+            for vertex, ls in labels.items():
+                if frozenset(g(l) for l in ls) not in blocks:
+                    return (
+                        f"the group left the family: {format_cycles(g)} maps the "
+                        f"labels of vertex {vertex!r} to no vertex of its colour"
+                    )
+    return None
+
+
+@seeded
+@given(small_graphs(), st.data())
+def test_family_check_agrees_with_label_calls(graph, data):
+    # automorphisms keep the family; random permutations mostly leave it
+    labels = range(1, graph.e + 1)
+    generators = list(automorphism_group(graph).theta.generators)[:4] + [
+        Permutation(data.draw(st.permutations(labels)))
+        for _ in range(data.draw(st.integers(0, 3)))
+    ]
+    theta = PermGroup(data.draw(st.permutations(generators)), degree=graph.e)
+    try:
+        _check_keeps_family(graph, theta)
+        outcome = None
+    except InternalInvariantError as exc:
+        outcome = str(exc)
+    assert outcome == family_check_by_label_calls(graph, theta)
+
+
 @settings(seeded, max_examples=200)
 @given(small_plain_graphs())
 def test_genus_search_agrees_with_brute_force(plain):
@@ -277,3 +353,10 @@ def test_parse_cycles_agrees_with_character_walk(text, degree):
 def test_format_cycles_agrees_with_label_walk(images):
     p = Permutation(images)
     assert format_cycles(p) == cycles_oracle.format_cycles(p)
+
+
+@seeded
+@given(st.integers(1, 255).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_cycle_type_agrees_with_label_walk(images):
+    p = Permutation(images)
+    assert cycle_type(p) == tuple(sorted(cycles_oracle.cycle_lengths(p)))
