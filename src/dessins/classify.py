@@ -6,14 +6,18 @@ the orbits of the edge-action group G.  The census is orderly orbit
 enumeration in the spirit of McKay, "Isomorph-free exhaustive generation"
 (J. Algorithms 1998): it keeps one mark per stream rank and jumps from
 each unmarked rank to the next (``bytearray.find``), unranking only the
-pair found there.  It conjugates that pair by every element of G, takes
-the lexicographically least image as the orbit's representative and marks
-the rank of each image.  An orbit of |G| distinct images is free, with a
-trivial stabilizer; only the other orbits have the stabilizer, the
+pair found there.  It ranks that pair's conjugates by every element of G
+and marks each rank, and takes the lexicographically least conjugate as
+the orbit's representative.  An orbit of |G| distinct ranks is free, with
+a trivial stabilizer; only the other orbits have the stabilizer, the
 dessin's orientation-preserving automorphism group, read off the
-representative's own conjugates.  The work is a scan of N bytes of marks,
-one unrank per orbit, N ranks and orbits * |G| conjugations, plus |G| for
-each non-free orbit whose representative is not the pair found.
+representative's own conjugates.  Mirror partners come out of the same
+pass: each orbit ranks its mirrored first pair once, and the orbit that
+contains that rank is its partner.  The work is a scan of N bytes of
+marks, one unrank per orbit, orbits * |G| conjugate ranks at one dict
+lookup per rank group (``rotation._Radix``) each, |G| conjugates of sigma
+per orbit and of tau only where sigma's is least, plus 2|G| conjugates
+for each non-free orbit.
 
 When the monodromy groups are wanted, their Schreier-Sims builds dominate,
 so the per-orbit invariants run in a fork pool over contiguous chunks of
@@ -25,6 +29,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import compress, repeat
+from operator import add
 
 from .bgraph import BipartiteGraph, EdgeActionGroup, _check_label_count, automorphism_group
 from .dessin import invariants, dualizable_oracle, wilson
@@ -106,8 +113,16 @@ class _Action:
         return list(zip(self.images(s), self.images(t)))
 
     def least(self, s, t):
-        """The least conjugate of the pair of tables (s, t)."""
-        return min(self.pair_images(s, t))
+        """The least conjugate of the pair of tables (s, t).
+
+        Pairs compare by sigma first, so tau is conjugated only by the
+        elements that take sigma to its least conjugate.
+        """
+        images = self.images(s)
+        low = min(images)
+        t = t[: self.e] + self.pad
+        chosen = compress(self.elems, map(low.__eq__, images))
+        return low, min(gi.translate(t).translate(g) for gi, g in chosen)
 
     def fixing(self, images, key):
         """The stabilizer of ``key``, given its conjugates ``images``.
@@ -176,39 +191,92 @@ def _check_keeps_family(graph, theta):
                     )
 
 
-def _orbit_census(radix, action):
-    """Representative tables -> (orbit length, stabilizer order, generators).
+def _ranker(radix, action):
+    """A function from a pair of ``e``-byte tables to its conjugates' ranks.
 
-    The generators are the stabilizer's elements other than the identity.
+    The conjugate of t by g is ``ginv.translate(t).translate(g)``, so a
+    rank group reads the images of its labels ``gather`` under it as
+    ``gather.translate(ginv).translate(t).translate(g)``.  The first
+    translate is made here, once per group and element; the rest runs in
+    ``map``, in element order.
     """
+    pad = action.pad
+    tables = [g for _, g in action.elems]
+    inverses = [ginv + pad for ginv, _ in action.elems]
+    groups = [
+        (side, terms.__getitem__, [gather.translate(ginv) for ginv in inverses])
+        for side, gather, terms in radix.groups
+    ]
+    translate = bytes.translate
+    add_columns = partial(map, add)
+
+    def ranks(s, t):
+        pair = (s + pad, t + pad)
+        columns = [
+            map(term, map(translate, map(translate, gathers, repeat(pair[side])), tables))
+            for side, term, gathers in groups
+        ]
+        return reduce(add_columns, columns)
+
+    return ranks
+
+
+def _orbit_census(radix, action):
+    """The orbits, and the mirror of each, keyed by representative tables.
+
+    Returns representative -> (orbit length, stabilizer order, the
+    stabilizer's elements other than the identity), and representative ->
+    the representative of its mirror orbit, None if that left the family.
+    Mirroring commutes with conjugation, so it is an involution on orbits:
+    each orbit ranks its mirrored first pair once and waits in ``pending``
+    under that rank until the orbit containing it arrives.
+    """
+    ranks_of = _ranker(radix, action)
+    e = action.e
     marked = bytearray(radix.total)
     census = {}
+    mirrors = {}
+    pending = {}
     index = 0
     while index >= 0:
         s, t = radix.unrank(index)
-        images = action.pair_images(s, t)
-        rep = min(images)
-        orbit = set(images)
-        for image in orbit:
-            try:
-                rank = radix.rank(*image)
-            except KeyError:
-                raise InternalInvariantError(
-                    f"a conjugate of pair {index} left the family"
-                ) from None
+        try:
+            ranks = set(ranks_of(s, t))
+        except KeyError:
+            raise InternalInvariantError(
+                f"a conjugate of pair {index} left the family"
+            ) from None
+        for rank in ranks:
             if marked[rank]:
                 raise InternalInvariantError(f"pair {rank} lies in two orbits")
             marked[rank] = 1
         if not marked[index]:
             raise InternalInvariantError(f"pair {index} missing from its own orbit")
-        if len(orbit) == len(images):  # a free orbit: trivial stabilizer
-            census[rep] = (len(orbit), 1, ())
+        rep = action.least(s, t)
+        if len(ranks) == len(action.elems):  # a free orbit: trivial stabilizer
+            census[rep] = (len(ranks), 1, ())
         else:  # the stabilizer is read off rep's own conjugates
-            if rep != (s, t):
-                images = action.pair_images(*rep)
-            census[rep] = (len(orbit), *action.fixing(images, rep))
+            census[rep] = (len(ranks), *action.fixing(action.pair_images(*rep), rep))
+        claimed = pending.keys() & ranks
+        if claimed:  # at most one: mirroring is an involution on orbits
+            other = pending.pop(claimed.pop())
+            mirrors[rep], mirrors[other] = other, rep
+        else:
+            try:
+                rank = radix.rank(_invert(s, e), _invert(t, e))
+            except KeyError:
+                mirrors[rep] = None
+            else:
+                if rank in ranks:
+                    mirrors[rep] = rep
+                else:
+                    pending[rank] = rep
         index = marked.find(0, index + 1)
-    return census
+    if pending:
+        raise InternalInvariantError(
+            f"mirror pair {min(pending)} was left pending by the census"
+        )
+    return census, mirrors
 
 
 def _invariants_worker(args):
@@ -263,7 +331,7 @@ def classify(
     group_order = len(action.elems)
     _check_keeps_family(graph, theta)
 
-    census = _orbit_census(_Radix(graph), action)
+    census, mirrors = _orbit_census(_Radix(graph), action)
 
     key_to_orbit = {key: i for i, key in enumerate(sorted(census))}
     pairs = [_pair_from_tables(*key, graph) for key in key_to_orbit]
@@ -284,8 +352,7 @@ def classify(
                 raise InternalInvariantError(
                     f"duality oracle disagrees at orbit {orbit_id}"
                 )
-        mirrored = action.least(_invert(key[0], graph.e), _invert(key[1], graph.e))
-        partner = key_to_orbit.get(mirrored)
+        partner = key_to_orbit.get(mirrors[key])
         if partner is None:
             raise InternalInvariantError(
                 f"mirror of orbit {orbit_id} left the family"

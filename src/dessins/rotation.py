@@ -3,20 +3,26 @@
 The stream order is pinned: one mixed-radix counter over per-vertex rotation
 indices, black vertices varying fastest, each vertex's rotations in
 lexicographic order with the smallest incident label held first.  A pair's
-index in that order is its rank.  ``_Radix.rank`` computes it from the
-pair's tables and ``_Radix.unrank`` inverts it (Knuth, TAOCP 4A,
-7.2.1.1), with one ``divmod`` and one ``bytes.translate`` per vertex that
-has a choice of rotation; so any index, or any slice of the index range
-(``chunk_bounds``), gives the same pairs as the whole stream.
+index in that order is its rank.  ``_Radix.unrank`` computes the pair at
+an index (Knuth, TAOCP 4A, 7.2.1.1), with one ``divmod`` and one
+``bytes.translate`` per vertex that has a choice of rotation; so any index,
+or any slice of the index range (``chunk_bounds``), gives the same pairs as
+the whole stream.  ``_Radix.rank`` inverts it by rank groups: runs of
+consecutive vertices of one colour whose rotation counts multiply to at
+most ``_GROUP_CAP`` (a vertex with more rotations is a group of its own).
+A group reads the images of its labels with one ``bytes.translate`` and
+looks them up in one dict of summed rank terms.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .perm import Permutation, _IDENT256
+
+# the most keys in a rank group's dict, unless one vertex alone has more
+_GROUP_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -53,26 +59,41 @@ def local_rotations(graph, vertex):
 
 
 class _Radix:
-    """Per-vertex rotation tables and the mixed-radix pair indexing."""
+    """Per-vertex rotation tables and the mixed-radix pair indexing.
+
+    ``groups`` holds one ``(side, gather, terms)`` per rank group: the
+    0-based labels of its vertices as bytes, and the dict from their images
+    under a table of that side to the group's summed rank terms.
+    """
 
     def __init__(self, graph):
+        self.e = graph.e
+        self._pad = _IDENT256[graph.e:]
         base = (bytearray(range(graph.e)), bytearray(range(graph.e)))
-        places = ([], [])
+        groups = []
         self._digits = []
         self.total = 1
         sides = ((graph.blacks, graph.black_labels), (graph.whites, graph.white_labels))
         for side, (vertices, labels) in enumerate(sides):
+            run, size = [], 1
             for v in vertices:
                 opts = _cycles_at(labels[v])
                 if len(opts) == 1:  # adds 0 to every rank
                     _apply_cycle(base[side], opts[0])
                     continue
-                get, terms, tables = _place(opts, self.total)
-                places[side].append((get, terms))
+                if run and size * len(opts) > _GROUP_CAP:
+                    groups.append((side, *_group(run)))
+                    run, size = [], 1
+                place, tables = _place(opts, self.total)
+                run.append(place)
+                size *= len(opts)
                 self._digits.append((len(opts), side, tables))
                 self.total *= len(opts)
+            if run:
+                groups.append((side, *_group(run)))
         self._base = tuple(bytes(b) for b in base)
-        self._black_places, self._white_places = places
+        # a graph without a choice of rotation has the one rank 0
+        self.groups = tuple(groups) or ((0, b"", {b"": 0}),)
 
     def rank(self, s, t):
         """The stream index of the pair of 0-based tables (s, t).
@@ -80,11 +101,10 @@ class _Radix:
         Raises KeyError when the labels at some vertex do not form one of
         its rotations, that is, when (s, t) is not in the family.
         """
+        pair = (s[: self.e] + self._pad, t[: self.e] + self._pad)
         index = 0
-        for get, d in self._black_places:
-            index += d[get(s)]
-        for get, d in self._white_places:
-            index += d[get(t)]
+        for side, gather, terms in self.groups:
+            index += terms[gather.translate(pair[side])]
         return index
 
     def unrank(self, index):
@@ -101,19 +121,31 @@ class _Radix:
 def _place(opts, radix):
     """One vertex's rank term and its rotations as 256-byte tables.
 
-    The term is (getter, images -> digit * radix): the getter reads the
-    0-based images of the vertex's labels, which name its rotation; the
-    vertex has at least three labels, so they come back as a tuple.
+    The term is (labels, images -> digit * radix): the vertex's 0-based
+    labels, and their images under each rotation, as bytes.
     """
-    get = itemgetter(*(label - 1 for label in sorted(opts[0])))
+    labels = bytes(label - 1 for label in sorted(opts[0]))
     terms = {}
     tables = []
     for digit, cycle in enumerate(opts):
         table = bytearray(_IDENT256)
         _apply_cycle(table, cycle)
-        terms[get(table)] = digit * radix
-        tables.append(bytes(table))
-    return get, terms, tables
+        table = bytes(table)
+        terms[labels.translate(table)] = digit * radix
+        tables.append(table)
+    return (labels, terms), tables
+
+
+def _group(places):
+    """The gather bytes and summed-term dict of a run of vertex terms."""
+    (gather, terms), *rest = places
+    for labels, place in rest:
+        gather += labels
+        terms = {
+            key + images: rank + term
+            for key, rank in terms.items() for images, term in place.items()
+        }
+    return gather, terms
 
 
 def _apply_cycle(table, cycle):

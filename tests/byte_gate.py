@@ -5,7 +5,9 @@ every ``--emit`` format, with and without ``--wilson 1,1``;
 ``genus-range --histogram`` on every ``.g`` fixture but K6; ``autgroup`` on
 every ``.bg`` fixture; ``classify --emit json`` on the 6-leaf star, whose
 719 generators and 5 listed stabilizer elements pin the automorphism
-backtracker and the stabilizer chain on a dense group; ``analyze`` on the
+backtracker and the stabilizer chain on a dense group, and on the 6-edge
+bundle, whose 14400 pairs under |G| = 720 pin the census on a dense group
+with one rank group per side; ``analyze`` on the
 first three records of each small fixture, and on one pair that is not a
 rotation system of its graph; and the library JSON of ``frucht_clean`` and
 ``double_prism`` without monodromy.
@@ -81,6 +83,9 @@ def cases(threads=1):
     argv = ["classify", os.path.join(FIXTURES, "star6.bg"), "--emit", "json",
             "--threads", str(threads)]
     yield "classify star6.bg --emit json", lambda argv=argv: _cli(argv)
+    argv = ["classify", os.path.join(FIXTURES, "bundle6.bg"), "--emit", "json",
+            "--threads", str(threads)]
+    yield "classify bundle6.bg --emit json", lambda argv=argv: _cli(argv)
     for name in PLAIN:
         argv = ["genus-range", os.path.join(FIXTURES, name + ".g"), "--histogram"]
         yield f"genus-range {name}.g --histogram", lambda argv=argv: _cli(argv)

@@ -13,6 +13,7 @@ from dessins import (
     enumerate_pairs,
     group_from_generators,
     local_rotations,
+    mirror,
     parse_bipartite,
     parse_cycles,
     serialize_report,
@@ -21,7 +22,8 @@ from dessins import (
     BudgetExceededError,
     InternalInvariantError,
 )
-from dessins.rotation import RotationPair, membership_failure
+from dessins.classify import _Action
+from dessins.rotation import RotationPair, _Radix, membership_failure
 
 import corpus
 from conftest import load_bipartite, record_for, run_capped, star_text
@@ -175,6 +177,53 @@ def test_k5_chiral_pairs(k5_report):
     assert recs[2].aut_order == 1
     assert recs[5].aut_order == 4
     assert recs[8].invariants.regular and recs[8].invariants.monodromy_order == 20
+
+
+BG_FIXTURES = ("a4_clean", "bundle6", "c33", "d33", "double_prism", "frucht_clean",
+               "k33", "k33_clean", "k44", "k5_clean", "star6")
+# (classes, chiral pairs), as the closed-form Burnside counts give them
+BURNSIDE = {"double_prism": (1042, 447), "k44": (3008, 1318)}
+
+
+@pytest.mark.parametrize("name", BG_FIXTURES)
+def test_mirror_partner_is_the_orbit_of_the_mirror(name):
+    # the census pairs orbits by rank; here each partner is found again as
+    # the orbit of the canonical form of the mirrored representative, by
+    # canonical_form's own action built once per graph (canonical_form
+    # builds it per call, about 2 ms each on K_{4,4})
+    report = classify(load_bipartite(name + ".bg"), with_monodromy=False)
+    e = report.graph.e
+    least = _Action(report.theta.elements(), e).least
+    orbit_of = {
+        (rec.representative.sigma._table[:e], rec.representative.tau._table[:e]): rec.orbit_id
+        for rec in report.records
+    }
+    for rec in report.records:
+        image = mirror(rec.representative)
+        partner = orbit_of[least(image.sigma._table, image.tau._table)]
+        if partner == rec.orbit_id:
+            assert (rec.mirror_status, rec.mirror_partner) == ("reflexive", None)
+        else:
+            assert (rec.mirror_status, rec.mirror_partner) == ("chiral", partner)
+    if name in BURNSIDE:
+        chiral = sum(rec.mirror_status == "chiral" for rec in report.records)
+        assert (len(report.records), chiral // 2) == BURNSIDE[name]
+
+
+def test_census_refuses_a_mirror_left_pending(monkeypatch):
+    # every mirrored pair ranked 0 falls in the first orbit, found before
+    # the orbits that then wait for it
+    monkeypatch.setattr(_Radix, "rank", lambda self, s, t: 0)
+    with pytest.raises(InternalInvariantError, match="left pending by the census"):
+        classify(load_bipartite("k33.bg"), with_monodromy=False)
+
+
+def test_census_refuses_a_mirror_that_left_the_family(monkeypatch):
+    def rank(self, s, t):
+        raise KeyError(s)
+    monkeypatch.setattr(_Radix, "rank", rank)
+    with pytest.raises(InternalInvariantError, match="^mirror of orbit 0 left the family$"):
+        classify(load_bipartite("k33.bg"), with_monodromy=False)
 
 
 def test_burnside_oracle():

@@ -7,7 +7,8 @@ and counts the pairs per canonical form.  The classification must agree
 with both.  Its records must carry the invariants that the public
 ``invariants`` computes without the graph passport, the duality of
 ``dualizable_oracle``, and the same report at two threads as at one; its
-family check must refuse exactly as one call per label would.  The
+family check must refuse exactly as one call per label would, and coprime
+Wilson powers must permute its orbits.  The
 vertex automorphisms of the backtracker must be exactly
 the color-preserving, multiplicity-preserving bijections found by brute
 force.  The genus property holds the exact search of
@@ -43,9 +44,10 @@ from dessins import (
     parse_cycles,
     serialize_report,
     stabilizer,
+    wilson_orbit_targets,
 )
 from dessins.bgraph import _vertex_automorphisms
-from dessins.classify import _check_keeps_family
+from dessins.classify import _Action, _check_keeps_family
 from dessins.perm import Permutation
 from dessins.rotation import _Radix
 
@@ -272,6 +274,32 @@ def test_reports_identical_at_two_threads(graph):
     solo = classify(graph, threads=1)
     assume(len(solo.records) >= 2)
     assert serialize_report(classify(graph, threads=2)) == serialize_report(solo)
+
+
+@seeded
+@given(small_graphs(), st.integers(1, 7), st.integers(1, 7))
+def test_coprime_wilson_powers_permute_the_orbits(graph, r, s):
+    # (sigma^r, tau^s) keeps each vertex's cycle on its labels when r and s
+    # are coprime to the degrees of their colour, and commutes with
+    # conjugation, so it maps orbits onto orbits
+    assume(graph.candidate_count() * automorphism_group(graph).group_order <= MAX_WORK)
+    assume(all(math.gcd(r, len(ls)) == 1 for ls in graph.black_labels.values()))
+    assume(all(math.gcd(s, len(ls)) == 1 for ls in graph.white_labels.values()))
+    report = classify(graph, with_monodromy=False)
+    ids = [rec.orbit_id for rec in report.records]
+    targets = wilson_orbit_targets(report, r, s)
+    assert sorted(targets) == ids and sorted(targets.values()) == ids
+    assert wilson_orbit_targets(report, 1, 1) == {i: i for i in ids}
+
+
+@seeded
+@given(small_graphs(), st.data())
+def test_least_conjugate_is_the_least_pair_image(graph, data):
+    # least() conjugates tau only by the elements giving the least sigma
+    action = _Action(automorphism_group(graph).theta.elements(), graph.e)
+    radix = _Radix(graph)
+    s, t = radix.unrank(data.draw(st.integers(0, radix.total - 1)))
+    assert action.least(s, t) == min(action.pair_images(s, t))
 
 
 def family_check_by_label_calls(graph, theta):

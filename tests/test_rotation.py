@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from dessins import (
@@ -10,7 +12,7 @@ from dessins import (
 from dessins.rotation import _Radix, chunk_bounds, membership_failure
 
 import corpus
-from conftest import load_bipartite
+from conftest import load_bipartite, star_text
 
 
 def test_local_rotation_counts():
@@ -126,3 +128,70 @@ def test_membership_failure_reports_degree_and_white_vertex():
     # sigma is a rotation system of the black side; the identity puts no
     # cycle on the first white vertex
     assert membership_failure(g, sigma, parse_cycles("()", 9)) == "w1"
+
+
+def spider_text(legs):
+    """A black centre with one path of ``legs[i]`` edges per leg, colours alternating."""
+    blacks, whites, edges = ["c"], [], []
+    for i, length in enumerate(legs):
+        end = "c"
+        for j in range(length):
+            v = f"v{i}_{j}"
+            if j % 2 == 0:
+                whites.append(v)
+                edges.append((end, v))
+            else:
+                blacks.append(v)
+                edges.append((v, end))
+            end = v
+    lines = ["black " + " ".join(blacks), "white " + " ".join(whites)]
+    lines += [f"edge {b} {w}" for b, w in edges]
+    return "\n".join(lines) + "\n"
+
+
+def test_rank_inverts_unrank_across_a_group_split():
+    # 6^5 = 7776 rotations on the black side: 6^4 fit under the group cap,
+    # the fifth vertex opens a second group
+    radix = _Radix(load_bipartite("k5_clean.bg"))
+    assert [len(terms) for _, _, terms in radix.groups] == [1296, 6]
+    assert all(radix.rank(*radix.unrank(i)) == i for i in range(radix.total))
+
+
+def test_rank_inverts_unrank_above_the_group_cap():
+    # 7! = 5040 rotations at the centre of an 8-leaf star: a group of its own
+    radix = _Radix(parse_bipartite(star_text(8)))
+    assert [len(terms) for _, _, terms in radix.groups] == [5040]
+    assert all(radix.rank(*radix.unrank(i)) == i for i in range(radix.total))
+
+
+def test_rank_refuses_a_table_that_is_no_rotation_at_a_vertex():
+    g = load_bipartite("k5_clean.bg")
+    radix = _Radix(g)
+    s, t = radix.unrank(4321)
+    for v in g.blacks:
+        # the identity on the labels of one vertex is no cycle of them
+        broken = bytearray(s)
+        for label in g.black_labels[v]:
+            broken[label - 1] = label - 1
+        with pytest.raises(KeyError):
+            radix.rank(bytes(broken), t)
+    # so is a transposition of two of its labels
+    a, b = g.black_labels["b3"][:2]
+    broken = bytearray(s)
+    broken[a - 1], broken[b - 1] = b - 1, a - 1
+    with pytest.raises(KeyError):
+        radix.rank(bytes(broken), t)
+
+
+def test_radix_memory_below_the_tuple_keyed_radix():
+    # a spider whose centre has degree 9: 8! = 40320 rotations, |G| = 1;
+    # with one tuple key per rotation the radix held 18.4 MiB
+    graph = parse_bipartite(spider_text(range(1, 10)))
+    tracemalloc.start()
+    try:
+        radix = _Radix(graph)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert radix.total == 40320
+    assert size < 18.4 * 2**20
