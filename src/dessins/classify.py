@@ -37,7 +37,7 @@ from .bgraph import BipartiteGraph, EdgeActionGroup, _check_label_count, automor
 from .dessin import invariants, dualizable_oracle, wilson
 from .perm import Permutation, _IDENT256, _invert, format_cycles
 from .permgroup import PermGroup
-from .rotation import RotationPair, _Radix, _pair_from_tables, chunk_bounds
+from .rotation import InternalInvariantError, RotationPair, _Radix, _pair_from_tables, chunk_bounds
 
 DEFAULT_BUDGET = 10**7
 
@@ -52,10 +52,6 @@ class BudgetExceededError(RuntimeError):
         )
         self.count = count
         self.budget = budget
-
-
-class InternalInvariantError(AssertionError):
-    """A structural guarantee failed; indicates a bug, not bad input."""
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,14 @@ Records are emitted sorted by (genus, passport, canonical representative);
 stay resolvable.  Group-theoretic orders are serialized as decimal strings
 (they overflow 64-bit consumers).
 
-The JSON text is exactly ``json.dumps(data, indent=2)`` plus a newline, but
-written by ``str.join`` over the document tree: with an indent, ``json``
-falls back to its pure-Python encoder.  ``parse_report`` checks every
-permutation string, once per distinct string: records of a clean graph all
-share one ``tau``.
+``build_document`` writes sigma and tau from the vertex cycles of the
+graph (``rotation.CycleText``): one walk per distinct rotation of a vertex,
+not one per record.  The JSON text is exactly ``json.dumps(data, indent=2)``
+plus a newline, but written by ``str.join`` and one ``%`` format per record
+shape: with an indent, ``json`` falls back to its pure-Python encoder.
+``parse_report`` checks every permutation string once per distinct string,
+by its label set: plain cycle text on distinct labels of 1..e is valid, and
+any other text goes to ``parse_cycles``, which accepts it or names the fault.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import json
 from dataclasses import dataclass
 
 from .bgraph import _format_passport
-from .perm import MAX_DEGREE, format_cycles, parse_cycles
+from .perm import MAX_DEGREE, _plain_labels, format_cycles, parse_cycles
+from .rotation import CycleText
 
 SCHEMA_VERSION = "1"
 
@@ -54,7 +58,7 @@ def _record_sort_key(rec):
     )
 
 
-def _record_to_json(rec, wilson_targets, cycles):
+def _record_to_json(rec, wilson_targets, sigmas, taus, cycles):
     inv = rec.invariants
     fp = inv.monodromy_fingerprint
     mirror = {"status": rec.mirror_status}
@@ -62,8 +66,8 @@ def _record_to_json(rec, wilson_targets, cycles):
         mirror["partner_orbit_id"] = rec.mirror_partner
     out = {
         "orbit_id": rec.orbit_id,
-        "sigma": cycles(rec.representative.sigma),
-        "tau": cycles(rec.representative.tau),
+        "sigma": sigmas(rec.representative.sigma),
+        "tau": taus(rec.representative.tau),
         "orbit_length": rec.orbit_length,
         "aut_order": rec.aut_order,
         "aut_generators": [cycles(g) for g in rec.aut_generators],
@@ -97,6 +101,7 @@ def build_document(report, wilson_targets=None):
     graph = report.graph
     passport = graph.passport()
     ordered = sorted(report.records, key=_record_sort_key)
+    sigmas, taus = CycleText(graph, 0), CycleText(graph, 1)
     texts = {}  # padded table -> cycle text, which the degree does not change
 
     def cycles(p):
@@ -116,7 +121,7 @@ def build_document(report, wilson_targets=None):
             "aut_group_order": report.group_order,
             "candidate_count": str(report.candidate_count),
         },
-        "records": [_record_to_json(r, wilson_targets, cycles) for r in ordered],
+        "records": [_record_to_json(r, wilson_targets, sigmas, taus, cycles) for r in ordered],
         "genus_histogram": {str(k): v for k, v in sorted(report.genus_histogram.items())},
         "dualizable_histogram": {
             str(k): v for k, v in sorted(report.dualizable_histogram.items())
@@ -129,39 +134,67 @@ _STR = json.encoder.encode_basestring_ascii
 _INTS = {int}
 
 
-def _to_json(value, pad=""):
-    """``json.dumps(value, indent=2)``, nested ``pad`` deep, by ``str.join``.
+def _to_json(value):
+    """``json.dumps(value, indent=2)`` by ``str.join`` and ``%`` formats.
 
     Takes dicts with string keys, lists, strings, ints, booleans and None;
-    anything else goes to ``json.dumps`` itself.  A list of ints is one join.
+    anything else goes to ``json.dumps`` itself.  Within one call, a list
+    of ints is joined once per distinct (indent, values), and a dict with
+    string keys renders through one ``%`` format per (indent, keys), built
+    the first time; records of one report repeat both.
     """
-    kind = type(value)
-    if kind is str:
-        return _STR(value)
-    if kind is int:
-        return str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    lists = {}  # (pad, ints) -> text
+    formats = {}  # (pad, keys) -> format, or None when a key is not a str
+
+    def encode(value, pad):
+        kind = type(value)
+        if kind is str:
+            return _STR(value)
+        if kind is int:
+            return str(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        inner = pad + "  "
+        if kind is list:
+            if not value:
+                return "[]"
+            if set(map(type, value)) == _INTS:  # no bool: True would hash as 1
+                key = (pad, tuple(value))
+                text = lists.get(key)
+                if text is None:
+                    text = lists[key] = _wrap("[", map(str, value), pad, "]")
+                return text
+            return _wrap("[", [encode(v, inner) for v in value], pad, "]")
+        if kind is dict:
+            key = (pad, tuple(value))
+            fmt = formats.get(key, False)
+            if fmt is False:
+                fmt = formats[key] = _dict_format(key[1], pad)
+            if fmt is not None:
+                return fmt % tuple([encode(v, inner) for v in value.values()])
+        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+    return encode(value, "")
+
+
+def _wrap(open_, items, pad, close):
+    """Items one per line, two spaces deeper than ``pad``, between brackets."""
     inner = pad + "  "
-    sep = ",\n" + inner
-    if kind is list:
-        if not value:
-            return "[]"
-        if set(map(type, value)) == _INTS:
-            body = sep.join(map(str, value))
-        else:
-            body = sep.join([_to_json(v, inner) for v in value])
-        return "[\n" + inner + body + "\n" + pad + "]"
-    if kind is dict and all(type(k) is str for k in value):
-        if not value:
-            return "{}"
-        body = sep.join([_STR(k) + ": " + _to_json(v, inner) for k, v in value.items()])
-        return "{\n" + inner + body + "\n" + pad + "}"
-    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    return open_ + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + close
+
+
+def _dict_format(keys, pad):
+    """The ``%`` format of a dict with these keys at this indent, or None
+    if a key is not a string."""
+    if not all(type(k) is str for k in keys):
+        return None
+    if not keys:
+        return "{}"
+    return _wrap("{", [_STR(k).replace("%", "%%") + ": %s" for k in keys], pad, "}")
 
 
 def serialize_document(doc, fmt="json"):
@@ -280,12 +313,13 @@ def parse_report(text):
             raise ReportFormatError(f"record {i}: bad {field} cycle string: not a string")
         if text in checked:
             return
-        try:
-            parse_cycles(text, e)
-        except ValueError as exc:
-            raise ReportFormatError(
-                f"record {i}: bad {field} cycle string: {exc}"
-            ) from exc
+        if _plain_labels(text, e) is None:
+            try:
+                parse_cycles(text, e)
+            except ValueError as exc:
+                raise ReportFormatError(
+                    f"record {i}: bad {field} cycle string: {exc}"
+                ) from exc
         checked.add(text)
 
     for i, rec in enumerate(records):

@@ -235,27 +235,40 @@ def parse_cycles(text, degree):
     return Permutation(images)
 
 
-def _parse_plain_cycles(text, degree):
-    """``parse_cycles`` of text as ``format_cycles`` writes it, or None.
+def _plain_labels(text, degree):
+    """The labels of plain cycle text, as bytes, if distinct and in 1..degree; else None.
 
-    The text is "(", then labels joined by "," within a cycle and ")("
-    between cycles, then ")"; each label is a key of ``_VALUES``, which
-    leaves out "0", leading zeros and labels past a byte.  Every label maps
-    to the next label in the text, except the last of each cycle, which
-    maps to the first; so one ``bytes.maketrans`` of all labels followed by
-    the (last, first) pairs builds the table, later pairs overriding
-    earlier ones.  Other text (whitespace, "()", non-ASCII digits, errors)
-    goes to the character walk, which owns every error message.
+    Plain text is "(", then labels joined by "," within a cycle and ")("
+    between cycles, then ")", as ``format_cycles`` writes it; each label is
+    a key of ``_VALUES``, which leaves out "0", leading zeros, whitespace,
+    non-ASCII digits and labels past a byte.  Since a label is digits only,
+    such text is well formed, and ``parse_cycles`` accepts it exactly when
+    its labels are distinct and at most ``degree``.  Other text may still
+    parse ("()", whitespace) or not; the character walk decides.
     """
     if text[:1] != "(" or text[-1:] != ")":
         return None
-    value = _VALUES.__getitem__
     try:
-        moved = bytes(map(value, text[1:-1].replace(")(", ",").split(",")))
+        labels = bytes(map(_VALUES.__getitem__, text[1:-1].replace(")(", ",").split(",")))
     except KeyError:
         return None
-    if len(set(moved)) != len(moved) or max(moved) > degree:
+    if len(set(labels)) != len(labels) or max(labels) > degree:
         return None
+    return labels
+
+
+def _parse_plain_cycles(text, degree):
+    """``parse_cycles`` of plain text (see ``_plain_labels``), or None.
+
+    Every label maps to the next label in the text, except the last of each
+    cycle, which maps to the first; so one ``bytes.maketrans`` of all
+    labels followed by the (last, first) pairs builds the table, later
+    pairs overriding earlier ones.
+    """
+    moved = _plain_labels(text, degree)
+    if moved is None:
+        return None
+    value = _VALUES.__getitem__
     firsts = bytes(map(value, _FIRSTS.findall(text)))
     lasts = bytes(map(value, _LASTS.findall(text)))
     table = bytes.maketrans(moved + lasts, moved[1:] + moved[:1] + firsts)

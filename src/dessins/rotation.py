@@ -12,6 +12,11 @@ consecutive vertices of one colour whose rotation counts multiply to at
 most ``_GROUP_CAP`` (a vertex with more rotations is a group of its own).
 A group reads the images of its labels with one ``bytes.translate`` and
 looks them up in one dict of summed rank terms.
+
+In the family the sigma-cycles are the label sets of the black vertices and
+the tau-cycles those of the white ones, so ``CycleText`` writes the cycle
+text of either from the vertices: one cycle text per vertex, each walked
+once per distinct image of the vertex's labels.
 """
 
 from __future__ import annotations
@@ -19,10 +24,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .perm import Permutation, _IDENT256
+from .perm import _IDENT256, _LABELS, Permutation, format_cycles
 
 # the most keys in a rank group's dict, unless one vertex alone has more
 _GROUP_CAP = 4096
+
+
+class InternalInvariantError(AssertionError):
+    """A structural guarantee failed; indicates a bug, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -148,6 +157,79 @@ def _group(places):
     return gather, terms
 
 
+class CycleText:
+    """``format_cycles`` of one colour's permutation, for pairs in the family.
+
+    The text is the join of one cycle text per vertex of degree >= 2,
+    ordered by least label.  One ``bytes.translate`` gathers the images of
+    the labels of the vertices with a choice of rotation, then of the
+    others, whose images must be the one rotation they have.  Each vertex
+    with a choice looks its slice up in its own dict and walks it only the
+    first time it is seen.  A permutation outside the family raises
+    ``InternalInvariantError``.  The dicts live as long as the object:
+    build one per document.
+    """
+
+    def __init__(self, graph, side):
+        self.e = graph.e
+        self.side = side
+        gather, others, rotated = bytearray(), bytearray(), bytearray()
+        # vertex texts in order; None marks the slot of a vertex with a choice
+        template, self._slots = [""], []
+        for labels in sorted((graph.black_labels, graph.white_labels)[side].values()):
+            labels = bytes(label - 1 for label in labels)
+            if len(labels) > 2:
+                self._slots.append((len(template), len(gather), labels, {}))
+                template += [None, ""]
+                gather += labels
+                continue
+            others += labels
+            rotated += labels[1:] + labels[:1]
+            if len(labels) == 2:
+                template[-1] += _walk(labels, labels[1:] + labels[:1])
+        self._template = template
+        self._split = len(gather)
+        self._gather = bytes(gather + others)
+        self._rotated = bytes(rotated)
+
+    def __call__(self, p):
+        images = self._gather.translate(p._table)
+        if p.degree != self.e or images[self._split:] != self._rotated:
+            raise self._outside(p)
+        parts = self._template.copy()
+        for i, start, labels, texts in self._slots:
+            piece = images[start : start + len(labels)]
+            text = texts.get(piece)
+            if text is None:
+                text = _walk(labels, piece)
+                if text is None:
+                    raise self._outside(p)
+                texts[piece] = text
+            parts[i] = text
+        return "".join(parts) or "()"
+
+    def _outside(self, p):
+        return InternalInvariantError(
+            f"{'tau' if self.side else 'sigma'} {format_cycles(p)} is not in the rotation family"
+        )
+
+
+def _walk(labels, images):
+    """The cycle text of a vertex whose 0-based ``labels`` go to ``images``,
+    from its least label; None unless the images are its labels in one cycle."""
+    if sorted(images) != list(labels):
+        return None
+    step = dict(zip(labels, images))
+    cycle = [labels[0]]
+    x = step[labels[0]]
+    while x != labels[0]:
+        cycle.append(x)
+        x = step[x]
+    if len(cycle) != len(labels):
+        return None
+    return "(" + ",".join([_LABELS[x] for x in cycle]) + ")"
+
+
 def _apply_cycle(table, cycle):
     for i, label in enumerate(cycle):
         table[label - 1] = cycle[(i + 1) % len(cycle)] - 1
@@ -179,23 +261,9 @@ def membership_failure(graph, sigma, tau):
     """
     if sigma.degree != graph.e or tau.degree != graph.e:
         return "degree"
-    for v in graph.blacks:
-        if not _is_single_cycle(sigma, graph.black_labels[v]):
-            return v
-    for v in graph.whites:
-        if not _is_single_cycle(tau, graph.white_labels[v]):
-            return v
+    for p, labels in ((sigma, graph.black_labels), (tau, graph.white_labels)):
+        for v, ls in labels.items():
+            ls = bytes(label - 1 for label in ls)
+            if _walk(ls, ls.translate(p._table)) is None:
+                return v
     return None
-
-
-def _is_single_cycle(p, labels):
-    lset = set(labels)
-    start = labels[0]
-    seen = set()
-    x = start
-    for _ in range(len(labels)):
-        if x not in lset or x in seen:
-            return False
-        seen.add(x)
-        x = p(x)
-    return x == start and seen == lset

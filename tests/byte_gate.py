@@ -9,8 +9,10 @@ backtracker and the stabilizer chain on a dense group, and on the 6-edge
 bundle, whose 14400 pairs under |G| = 720 pin the census on a dense group
 with one rank group per side; ``analyze`` on the
 first three records of each small fixture, and on one pair that is not a
-rotation system of its graph; and the library JSON of ``frucht_clean`` and
-``double_prism`` without monodromy.
+rotation system of its graph; the library JSON of ``frucht_clean`` and
+``double_prism`` without monodromy; and the library CSV and table of
+``frucht_clean`` without monodromy, so every ``--emit`` format is pinned on
+a graph with many records.
 Each entry pins the exit code and the sha256 of the output text encoded as
 UTF-8.
 
@@ -38,6 +40,7 @@ SMALL_BG = ("a4_clean", "c33", "d33", "k33", "k33_clean", "k5_clean")
 ALL_BG = SMALL_BG + ("double_prism", "frucht_clean", "k44", "star6")
 PLAIN = ("c3", "c5", "frucht", "k33", "k5")
 LIBRARY_JSON = ("frucht_clean", "double_prism")
+LIBRARY_TEXT = (("frucht_clean", "csv"), ("frucht_clean", "table"))
 
 
 def _cli(argv):
@@ -52,8 +55,8 @@ def _classify(name, threads):
     return classify(graph, threads=threads, with_monodromy=False)
 
 
-def _library_json(name, threads):
-    return 0, serialize_report(_classify(name, threads), "json")
+def _library(name, threads, fmt="json"):
+    return 0, serialize_report(_classify(name, threads), fmt)
 
 
 @functools.lru_cache(maxsize=None)
@@ -99,7 +102,9 @@ def cases(threads=1):
     argv = ["analyze", os.path.join(FIXTURES, "k33.bg"), "--sigma", "()", "--tau", "()"]
     yield "analyze k33.bg refused pair", lambda argv=argv: _cli(argv)
     for name in LIBRARY_JSON:
-        yield f"library json {name}.bg", lambda name=name: _library_json(name, threads)
+        yield f"library json {name}.bg", lambda name=name: _library(name, threads)
+    for name, fmt in LIBRARY_TEXT:
+        yield f"library {fmt} {name}.bg", lambda name=name, fmt=fmt: _library(name, threads, fmt)
 
 
 def digest(run):

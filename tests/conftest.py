@@ -98,6 +98,14 @@ def _timed_classify(name, **kw):
     return TimedReport(report, time.monotonic() - t0)
 
 
+# the report fixture of each fixtures/*.bg but bundle6, k44 and star6;
+# Frucht without monodromy leaves its monodromy orders None
+EVERY_BG_REPORT = [
+    "a4_report", "c33_report", "d33_report", "dp_report",
+    "frucht_light_report", "k33_report", "k33_clean_report", "k5_report",
+]
+
+
 @pytest.fixture(scope="session")
 def a4_report():
     return _timed_classify("a4_clean.bg")

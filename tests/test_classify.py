@@ -1,6 +1,9 @@
+import tracemalloc
+
 import pytest
 
 from dessins import (
+    CapExceededError,
     PermGroup,
     Permutation,
     act,
@@ -389,6 +392,23 @@ def test_group_override_that_moves_a_single_rotation_vertex_is_refused():
     bogus = PermGroup([P("(1,2)(4,5,6,7)", 7)])
     with pytest.raises(InternalInvariantError, match="left the family"):
         classify(graph, group=bogus, with_monodromy=False)
+
+
+def test_group_above_the_element_cap_is_refused_before_the_census():
+    # S_10 on the labels of the 10-leaf star keeps the family, but its
+    # 3628800 elements exceed the cap: the refusal lists none of them and
+    # builds no radix for the 9! rotations at the centre
+    graph = parse_bipartite(star_text(10))
+    s10 = PermGroup([P("(1,2,3,4,5,6,7,8,9,10)", 10), P("(1,2)", 10)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError,
+                           match="^group order 3628800 exceeds enumeration cap 1000000$"):
+            classify(graph, group=s10, with_monodromy=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_wilson_targets_fix_each_orbit(k33_report):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dessins import (
+    classify,
     dualizable_oracle,
     enumerate_pairs,
     face_permutation,
@@ -16,7 +17,7 @@ from dessins import (
     NonTransitiveError,
     identity,
 )
-from dessins.rotation import RotationPair, membership_failure
+from dessins.rotation import RotationPair, _Radix, _pair_from_tables, membership_failure
 
 import corpus
 from conftest import load_bipartite
@@ -134,6 +135,40 @@ def test_dualizable_oracle_agreement_sample():
         g = load_bipartite(name)
         for pair in list(enumerate_pairs(g))[:12]:
             assert is_dualizable(pair) == dualizable_oracle(pair)
+
+
+# the oracle lists the monodromy group: keep it to groups it lists quickly
+ORACLE_ORDER_CAP = 20000
+
+
+def test_dualizable_agrees_with_oracle_off_the_representatives():
+    # up to 25 random ranks within the oracle's cap of each small fixture,
+    # its orbit representatives left out (a4_clean has 13 others);
+    # k5_clean's even degrees give dualizable pairs
+    rng = random.Random(1611)
+    dualizable = 0
+    for name in ("a4_clean", "c33", "d33", "k33", "k33_clean", "k5_clean"):
+        graph = load_bipartite(name + ".bg")
+        radix = _Radix(graph)
+        representatives = {
+            radix.rank(r.representative.sigma._table, r.representative.tau._table)
+            for r in classify(graph, with_monodromy=False).records
+        }
+        ranks = [i for i in range(radix.total) if i not in representatives]
+        rng.shuffle(ranks)
+        checked = 0
+        for i in ranks:
+            pair = _pair_from_tables(*radix.unrank(i), graph)
+            if monodromy_group(pair).order() > ORACLE_ORDER_CAP:
+                continue
+            fast = is_dualizable(pair)
+            assert fast == dualizable_oracle(pair), (name, i)
+            dualizable += fast
+            checked += 1
+            if checked == 25:
+                break
+        assert checked >= 10, name
+    assert dualizable > 0
 
 
 def test_dualizable_positive_case_agrees():

@@ -14,7 +14,8 @@ from dessins import (
 from dessins.classify import ClassificationReport
 from dessins.io import ReportDocument, serialize_document
 
-from conftest import load_bipartite
+import cycles_oracle
+from conftest import EVERY_BG_REPORT, load_bipartite
 
 
 def test_json_round_trip(a4_report):
@@ -23,13 +24,6 @@ def test_json_round_trip(a4_report):
     assert serialize_document(doc, "json") == text
     again = parse_report(serialize_document(doc, "json"))
     assert again == doc
-
-
-# one report per fixtures/*.bg; Frucht without monodromy leaves it None
-EVERY_BG_REPORT = [
-    "a4_report", "c33_report", "d33_report", "dp_report",
-    "frucht_light_report", "k33_report", "k33_clean_report", "k5_report",
-]
 
 
 def test_json_writer_equals_json_dumps_on_every_fixture(request):
@@ -53,6 +47,19 @@ def test_json_writer_equals_json_dumps_on_every_fixture(request):
     {"float": 1.5, "tuple": (1, 2), "nested": {"deep": [0.25, {"k": (None,)}]}},
     {1: "int key", None: "none key"},
     [{"int key below": {2: [3]}}, "after"],
+    # keys that a % format would read as conversions
+    {"%": 1, "%s": "%s", "a%%b": {"%(x)s": [1, 2]}, "%d": [{"%": None}]},
+    # dicts in one list with different key sets and orders, and empty ones
+    [{"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 1}, {}, {"a": 1, "b": 2, "c": {}}, {}],
+    [{}, {}],
+    # one key set at three depths
+    {"a": {"a": {"a": 1}}, "b": [{"a": 2}, [{"a": 3}]]},
+    # one int list at two depths, and beside bools that hash like ints
+    {"x": [1, 2, 3], "y": {"x": [1, 2, 3]}, "z": [[1, 2, 3], [1, 2, 3]]},
+    [[1, 0], [True, False], [1, False], [True, 0], [1, 0]],
+    {"a": [1], "b": [True], "c": {"a": [True], "b": [1]}},
+    # non-string keys that hash alike: 1, True and 1.0
+    [{1: "a"}, {True: "a"}, {1.0: "a"}, {"1": "a"}],
 ])
 def test_json_writer_equals_json_dumps_on_any_value(data):
     assert serialize_document(ReportDocument(data), "json") == json.dumps(data, indent=2) + "\n"
@@ -232,6 +239,35 @@ def test_parse_checks_a_repeated_string_in_every_record(frucht_light_report):
     doc["records"][7]["tau"] = doc["records"][3]["sigma"] + "(1,2)"
     with pytest.raises(ReportFormatError, match="^record 7: bad tau cycle string"):
         parse_report(json.dumps(doc))
+
+
+# plain text, text only the character walk reads, and text it refuses
+CYCLE_CORPUS = [
+    "()", "(1)", "(1)(2)", "(1,2)(3,4,5)", "(9,1)", "(1,2,3,4,5,6,7,8,9)",
+    " (1,2)", "(1,2) ", "( 1,2)", "(1 ,2)", "(1, 2)", "(1,2 )", "(1,2)\t(3,4)",
+    "(01,2)", "(0,1)", "(1,10)", "(1,1)", "(1,2)(2,3)", "(\u0661,\u0662)", "(1,\uff12)",
+    "(1,,2)", "((1,2))", "(1,2)(", "(1,2)3(4)", "", " ", "(", ")", "()()", "(1)()",
+    "(,)", "(1,2)(3,4)(", "1,2", "(-1,2)", "(+1,2)", "(1.0,2)", "(256,1)",
+]
+
+
+@pytest.mark.parametrize("text", CYCLE_CORPUS)
+def test_parse_report_checks_a_cycle_string_as_the_character_walk(k33_report, text):
+    # e = 9: accepted or refused as the character walk would, with its message
+    doc = json.loads(serialize_report(k33_report.report, "json"))
+    doc["records"][0]["sigma"] = text
+    doc["records"][1]["tau"] = text
+    try:
+        cycles_oracle.parse_cycles(text, 9)
+        expected = None
+    except ValueError as exc:
+        expected = f"record 0: bad sigma cycle string: {exc}"
+    try:
+        parse_report(json.dumps(doc))
+        outcome = None
+    except ReportFormatError as exc:
+        outcome = str(exc)
+    assert outcome == expected
 
 
 def test_large_report_parses_quickly(dp_drawing_report):

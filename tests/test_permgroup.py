@@ -148,6 +148,19 @@ def test_elements_stream():
         next(s10.elements())
 
 
+def test_elements_refuses_a_non_giant_above_the_cap_before_the_first_element():
+    # S_6 x S_6 x S_6 on three blocks of 6 points: intransitive, so its
+    # order needs a build, yet no element is listed before the refusal
+    gens = []
+    for b in (0, 6, 12):
+        gens.append(P(f"({','.join(str(b + i) for i in range(1, 7))})", 18))
+        gens.append(P(f"({b + 1},{b + 2})", 18))
+    elements = group_from_generators(gens).elements()
+    with pytest.raises(CapExceededError,
+                       match="^group order 373248000 exceeds enumeration cap 1000000$"):
+        next(elements)
+
+
 def test_all_generators_even():
     assert group_from_generators([P("(1,2,3)", 3)]).all_generators_even()
     assert not group_from_generators([P("(1,2)", 3)]).all_generators_even()

@@ -8,7 +8,9 @@ with both.  Its records must carry the invariants that the public
 ``invariants`` computes without the graph passport, the duality of
 ``dualizable_oracle``, and the same report at two threads as at one; its
 family check must refuse exactly as one call per label would, and coprime
-Wilson powers must permute its orbits.  The
+Wilson powers must permute its orbits.  The cycle text that reports write
+from the vertices must be ``format_cycles`` on the family and a refusal
+off it.  The
 vertex automorphisms of the backtracker must be exactly
 the color-preserving, multiplicity-preserving bijections found by brute
 force.  The genus property holds the exact search of
@@ -49,7 +51,7 @@ from dessins import (
 from dessins.bgraph import _vertex_automorphisms
 from dessins.classify import _Action, _check_keeps_family
 from dessins.perm import Permutation
-from dessins.rotation import _Radix
+from dessins.rotation import CycleText, _Radix
 
 import cycles_oracle
 import genus_oracle
@@ -332,6 +334,41 @@ def test_family_check_agrees_with_label_calls(graph, data):
     except InternalInvariantError as exc:
         outcome = str(exc)
     assert outcome == family_check_by_label_calls(graph, theta)
+
+
+def keeps_cycles(p, labels):
+    """Whether the labels at each vertex form one cycle of ``p``."""
+    for ls in labels.values():
+        cycle, x = {ls[0]}, p(ls[0])
+        while x != ls[0]:
+            cycle.add(x)
+            x = p(x)
+        if cycle != set(ls):
+            return False
+    return True
+
+
+@settings(seeded, max_examples=200)
+@given(small_graphs(), st.data())
+def test_vertex_cycle_text_agrees_with_format_cycles(graph, data):
+    # the pair at a random rank prints as format_cycles prints it; a random
+    # permutation prints the same when it is in the family, else is refused
+    radix = _Radix(graph)
+    pair = radix.unrank(data.draw(st.integers(0, radix.total - 1)))
+    for side, labels in enumerate((graph.black_labels, graph.white_labels)):
+        text = CycleText(graph, side)
+        p = Permutation._from_table(pair[side], graph.e)
+        assert text(p) == format_cycles(p)
+        other = Permutation(data.draw(st.permutations(range(1, graph.e + 1))))
+        if keeps_cycles(other, labels):
+            assert text(other) == format_cycles(other)
+        else:
+            try:
+                text(other)
+            except InternalInvariantError as exc:
+                assert str(exc).endswith("is not in the rotation family")
+            else:
+                raise AssertionError(f"{format_cycles(other)} was not refused")
 
 
 @settings(seeded, max_examples=200)

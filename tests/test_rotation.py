@@ -3,16 +3,19 @@ import tracemalloc
 import pytest
 
 from dessins import (
+    InternalInvariantError,
     enumerate_pairs,
+    format_cycles,
     local_rotations,
     parse_bipartite,
     parse_cycles,
     group_from_generators,
 )
-from dessins.rotation import _Radix, chunk_bounds, membership_failure
+from dessins.perm import Permutation
+from dessins.rotation import CycleText, _Radix, chunk_bounds, membership_failure
 
 import corpus
-from conftest import load_bipartite, star_text
+from conftest import EVERY_BG_REPORT, load_bipartite, star_text
 
 
 def test_local_rotation_counts():
@@ -195,3 +198,54 @@ def test_radix_memory_below_the_tuple_keyed_radix():
         tracemalloc.stop()
     assert radix.total == 40320
     assert size < 18.4 * 2**20
+
+
+def test_vertex_cycle_text_equals_format_cycles_on_every_record(request):
+    for name in EVERY_BG_REPORT:
+        report = request.getfixturevalue(name).report
+        sigmas, taus = CycleText(report.graph, 0), CycleText(report.graph, 1)
+        for rec in report.records:
+            pair = rec.representative
+            assert sigmas(pair.sigma) == format_cycles(pair.sigma), name
+            assert taus(pair.tau) == format_cycles(pair.tau), name
+
+
+def test_vertex_cycle_text_of_the_identity_and_of_leaves():
+    # the 6-leaf star: one black centre, six white leaves whose tau is "()"
+    g = parse_bipartite(star_text(6))
+    sigmas, taus = CycleText(g, 0), CycleText(g, 1)
+    for pair in enumerate_pairs(g):
+        assert sigmas(pair.sigma) == format_cycles(pair.sigma)
+        assert taus(pair.tau) == "()"
+
+
+@pytest.mark.parametrize("side, text, degree", [
+    (1, "(1,2)", 6),  # moves two leaves of the star
+    (0, "()", 6),  # the centre of degree 6 is no cycle of the identity
+    (0, "(1,2,3,4,5)", 6),  # a cycle of five of the centre's six labels
+    (0, "(1,2,3)(4,5,6)", 6),  # two cycles on the centre's labels
+    (0, "(1,2,3,4,5,6)", 7),  # the right cycle at the wrong degree
+])
+def test_vertex_cycle_text_refuses_a_permutation_outside_the_family(side, text, degree):
+    g = parse_bipartite(star_text(6))
+    with pytest.raises(InternalInvariantError, match="is not in the rotation family$"):
+        CycleText(g, side)(parse_cycles(text, degree))
+
+
+def test_vertex_cycle_text_refuses_a_moved_degree_two_vertex():
+    # frucht_clean: every white vertex has degree 2, so tau has one value;
+    # swapping the images of two of its 2-cycles leaves the family
+    g = load_bipartite("frucht_clean.bg")
+    sigma, tau = (Permutation._from_table(t, g.e) for t in _Radix(g).unrank(0))
+    taus = CycleText(g, 1)
+    assert taus(tau) == format_cycles(tau)
+    (a, b), (c, d) = (g.white_labels[w] for w in g.whites[:2])
+    bad = bytearray(tau._table)
+    bad[a - 1], bad[c - 1], bad[b - 1], bad[d - 1] = c - 1, a - 1, d - 1, b - 1
+    with pytest.raises(InternalInvariantError, match="^tau .* is not in the rotation family$"):
+        taus(Permutation._from_table(bad, g.e))
+    # a sigma seen once is still refused when its images change
+    sigmas = CycleText(g, 0)
+    assert sigmas(sigma) == format_cycles(sigma)
+    with pytest.raises(InternalInvariantError, match="^sigma "):
+        sigmas(tau)
