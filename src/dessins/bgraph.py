@@ -63,6 +63,15 @@ def _check_connected(vertices, edges):
         raise GraphStructureError(f"graph is disconnected (unreachable: {missing})")
 
 
+def _edge_label(label):
+    """An edge label as an int: an int that is not a bool, or decimal text."""
+    if isinstance(label, int) and not isinstance(label, bool):
+        return int(label)
+    if isinstance(label, str) and label.isdecimal():
+        return int(label)
+    raise GraphStructureError(f"edge label {label!r} is not an integer")
+
+
 def _check_label_count(e, limit=MAX_DEGREE):
     if e > limit:
         raise GraphStructureError(f"{e} edges exceed the limit of {limit} labels")
@@ -71,14 +80,17 @@ def _check_label_count(e, limit=MAX_DEGREE):
 class BipartiteGraph:
     """Connected bipartite multigraph with edges labeled exactly 1..e.
 
+    An edge label is an int or decimal text such as ``"1"``; any other
+    label (a float, a bool, None, other text) raises ``GraphStructureError``.
     More than ``label_limit`` edges are refused: permutations of the labels
-    keep them in a byte.
+    keep them in a byte.  ``degree`` of a vertex not in the graph raises
+    ``ValueError``.
     """
 
     def __init__(self, blacks, whites, edges, label_limit=MAX_DEGREE):
         self.blacks = tuple(blacks)
         self.whites = tuple(whites)
-        self.edges = tuple((int(l), b, w) for l, b, w in edges)
+        self.edges = tuple((_edge_label(l), b, w) for l, b, w in edges)
         _check_label_count(len(self.edges), label_limit)
         self._validate()
         self.e = len(self.edges)
@@ -119,14 +131,14 @@ class BipartiteGraph:
         _check_connected(self.blacks + self.whites, self.edges)
 
     def degree(self, vertex):
-        if vertex in self.black_labels:
-            return len(self.black_labels[vertex])
-        return len(self.white_labels[vertex])
+        return len(self._labels(vertex))
 
-    def incident_labels(self, vertex):
-        if vertex in self.black_labels:
-            return tuple(self.black_labels[vertex])
-        return tuple(self.white_labels[vertex])
+    def _labels(self, vertex):
+        """The sorted labels at a vertex; ``ValueError`` if it is not one."""
+        for side in (self.black_labels, self.white_labels):
+            if vertex in side:
+                return side[vertex]
+        raise ValueError(f"unknown vertex {vertex!r}")
 
     def passport(self):
         return GraphPassport(
@@ -148,11 +160,15 @@ class BipartiteGraph:
 
 
 class PlainGraph:
-    """Connected multigraph; loops and parallel edges allowed."""
+    """Connected multigraph; loops and parallel edges allowed.
+
+    Edge labels are read as in ``BipartiteGraph``: an int or decimal text,
+    else ``GraphStructureError``.
+    """
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
-        self.edges = tuple((int(l), u, v) for l, u, v in edges)
+        self.edges = tuple((_edge_label(l), u, v) for l, u, v in edges)
         if len(set(self.vertices)) != len(self.vertices):
             raise GraphStructureError("duplicate vertex id")
         if not self.edges:

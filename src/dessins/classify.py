@@ -35,7 +35,7 @@ from operator import add
 
 from .bgraph import BipartiteGraph, EdgeActionGroup, _check_label_count, automorphism_group
 from .dessin import invariants, dualizable_oracle, wilson
-from .perm import Permutation, _IDENT256, _invert, format_cycles
+from .perm import Permutation, _IDENT256, _invert, conjugate, format_cycles
 from .permgroup import PermGroup
 from .rotation import InternalInvariantError, RotationPair, _Radix, _pair_from_tables, chunk_bounds
 
@@ -131,12 +131,6 @@ class _Action:
             Permutation._from_table(g, self.e) for g in tables if g != _IDENT256
         )
 
-    def stabilizer(self, s, t):
-        """The elements that fix the pair of tables (s, t), as a group."""
-        s, t = s[: self.e], t[: self.e]
-        _, generators = self.fixing(self.pair_images(s, t), (s, t))
-        return PermGroup(generators, degree=self.e)
-
 
 def _theta(group):
     return group.theta if isinstance(group, EdgeActionGroup) else group
@@ -144,10 +138,9 @@ def _theta(group):
 
 def act(phi_edge, pair):
     """Conjugate both rotations by an edge-acting automorphism."""
-    action = _Action([phi_edge], pair.sigma.degree)
-    [s] = action.images(pair.sigma._table)
-    [t] = action.images(pair.tau._table)
-    return _pair_from_tables(s, t, pair.graph)
+    return RotationPair(
+        conjugate(pair.sigma, phi_edge), conjugate(pair.tau, phi_edge), pair.graph
+    )
 
 
 def canonical_form(pair, group):
@@ -159,8 +152,11 @@ def canonical_form(pair, group):
 
 def stabilizer(pair, group):
     """Elements of the edge-action group fixing the pair, as a group."""
-    action = _Action(_theta(group).elements(), pair.sigma.degree)
-    return action.stabilizer(pair.sigma._table, pair.tau._table)
+    e = pair.sigma.degree
+    action = _Action(_theta(group).elements(), e)
+    s, t = pair.sigma._table[:e], pair.tau._table[:e]
+    _, generators = action.fixing(action.pair_images(s, t), (s, t))
+    return PermGroup(generators, degree=e)
 
 
 # -- census by orbit marking -------------------------------------------------

@@ -7,7 +7,8 @@ stay resolvable.  Group-theoretic orders are serialized as decimal strings
 
 ``build_document`` writes sigma and tau from the vertex cycles of the
 graph (``rotation.CycleText``): one walk per distinct rotation of a vertex,
-not one per record.  The JSON text is exactly ``json.dumps(data, indent=2)``
+not one per record; stabilizer generators, few per record, go through
+``format_cycles``.  The JSON text is exactly ``json.dumps(data, indent=2)``
 plus a newline, but written by ``str.join`` and one ``%`` format per record
 shape: with an indent, ``json`` falls back to its pure-Python encoder.
 ``parse_report`` checks every permutation string once per distinct string,
@@ -58,7 +59,7 @@ def _record_sort_key(rec):
     )
 
 
-def _record_to_json(rec, wilson_targets, sigmas, taus, cycles):
+def _record_to_json(rec, wilson_targets, sigmas, taus):
     inv = rec.invariants
     fp = inv.monodromy_fingerprint
     mirror = {"status": rec.mirror_status}
@@ -70,7 +71,7 @@ def _record_to_json(rec, wilson_targets, sigmas, taus, cycles):
         "tau": taus(rec.representative.tau),
         "orbit_length": rec.orbit_length,
         "aut_order": rec.aut_order,
-        "aut_generators": [cycles(g) for g in rec.aut_generators],
+        "aut_generators": [format_cycles(g) for g in rec.aut_generators],
         "genus": inv.genus,
         "passport": {
             "black": list(inv.passport.black),
@@ -102,14 +103,6 @@ def build_document(report, wilson_targets=None):
     passport = graph.passport()
     ordered = sorted(report.records, key=_record_sort_key)
     sigmas, taus = CycleText(graph, 0), CycleText(graph, 1)
-    texts = {}  # padded table -> cycle text, which the degree does not change
-
-    def cycles(p):
-        text = texts.get(p._table)
-        if text is None:
-            text = texts[p._table] = format_cycles(p)
-        return text
-
     data = {
         "schema_version": SCHEMA_VERSION,
         "graph": {
@@ -121,7 +114,7 @@ def build_document(report, wilson_targets=None):
             "aut_group_order": report.group_order,
             "candidate_count": str(report.candidate_count),
         },
-        "records": [_record_to_json(r, wilson_targets, sigmas, taus, cycles) for r in ordered],
+        "records": [_record_to_json(r, wilson_targets, sigmas, taus) for r in ordered],
         "genus_histogram": {str(k): v for k, v in sorted(report.genus_histogram.items())},
         "dualizable_histogram": {
             str(k): v for k, v in sorted(report.dualizable_histogram.items())

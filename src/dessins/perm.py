@@ -7,19 +7,13 @@ is therefore ``compose(tau, sigma)``.
 
 from __future__ import annotations
 
-import re
-
 _IDENT256 = bytes(range(256))
 
 MAX_DEGREE = 255  # images are cached as bytes so labels must fit in one byte
 
-# 1-based byte labels down to 0-based (0 never occurs)
-_LOWER = bytes([255]) + _IDENT256[:255]
 # the text of each 0-based label, and back to the 1-based label
 _LABELS = tuple(str(i + 1) for i in range(256))
 _VALUES = {text: i + 1 for i, text in enumerate(_LABELS[:MAX_DEGREE])}
-_FIRSTS = re.compile(r"\(([0-9]+)")
-_LASTS = re.compile(r"([0-9]+)\)")
 
 
 class CycleParseError(ValueError):
@@ -111,9 +105,6 @@ class Permutation:
     def inverse(self):
         return Permutation._from_table(_invert(self._table, self.degree), self.degree)
 
-    def is_even(self):
-        return is_even(self)
-
 
 def _invert(table, degree):
     """The inverse of a 0-based image table, padded to 256 bytes.
@@ -169,11 +160,9 @@ def parse_cycles(text, degree):
     """Parse disjoint-cycle notation like ``(1,2,3)(4,5)``; ``()`` is the identity.
 
     Labels omitted from the text are fixed points.  Whitespace is ignored.
+    The text is read one character at a time, so a fault is reported with
+    its position.
     """
-    if isinstance(text, str) and type(degree) is int and degree <= MAX_DEGREE:
-        p = _parse_plain_cycles(text, degree)
-        if p is not None:
-            return p
     images = list(range(1, degree + 1))
     used = [False] * degree
     pos = 0
@@ -244,7 +233,7 @@ def _plain_labels(text, degree):
     non-ASCII digits and labels past a byte.  Since a label is digits only,
     such text is well formed, and ``parse_cycles`` accepts it exactly when
     its labels are distinct and at most ``degree``.  Other text may still
-    parse ("()", whitespace) or not; the character walk decides.
+    parse ("()", whitespace) or not; ``parse_cycles`` decides.
     """
     if text[:1] != "(" or text[-1:] != ")":
         return None
@@ -255,24 +244,6 @@ def _plain_labels(text, degree):
     if len(set(labels)) != len(labels) or max(labels) > degree:
         return None
     return labels
-
-
-def _parse_plain_cycles(text, degree):
-    """``parse_cycles`` of plain text (see ``_plain_labels``), or None.
-
-    Every label maps to the next label in the text, except the last of each
-    cycle, which maps to the first; so one ``bytes.maketrans`` of all
-    labels followed by the (last, first) pairs builds the table, later
-    pairs overriding earlier ones.
-    """
-    moved = _plain_labels(text, degree)
-    if moved is None:
-        return None
-    value = _VALUES.__getitem__
-    firsts = bytes(map(value, _FIRSTS.findall(text)))
-    lasts = bytes(map(value, _LASTS.findall(text)))
-    table = bytes.maketrans(moved + lasts, moved[1:] + moved[:1] + firsts)
-    return Permutation._from_table(table[1 : degree + 1].translate(_LOWER), degree)
 
 
 def format_cycles(p):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .perm import Permutation, _IDENT256, _invert
+from .perm import Permutation, _IDENT256, _invert, is_even
 
 DEFAULT_ELEMENTS_CAP = 10**6
 
@@ -258,9 +258,6 @@ class PermGroup:
             t = t.translate(entry[1])
         return t[: self.degree] == _IDENT256[: self.degree]
 
-    def __contains__(self, p):
-        return self.contains(p)
-
     def orbit(self, point):
         """Orbit of a 1-based point under the generators, as a sorted tuple."""
         if not 1 <= point <= self.degree:
@@ -307,7 +304,7 @@ class PermGroup:
         yield from rec(len(levels) - 1, _IDENT256)
 
     def all_generators_even(self):
-        return all(g.is_even() for g in self.generators)
+        return all(map(is_even, self.generators))
 
 
 def group_from_generators(generators):

@@ -60,11 +60,11 @@ def _cycles_at(labels):
 
 
 def local_rotations(graph, vertex):
-    """The (deg-1)! local rotations at a vertex, in the pinned order."""
-    labels = graph.incident_labels(vertex)
-    if not labels:
-        raise ValueError(f"unknown vertex {vertex!r}")
-    return [LocalRotation(vertex, cyc) for cyc in _cycles_at(labels)]
+    """The (deg-1)! local rotations at a vertex, in the pinned order.
+
+    A vertex not in the graph raises ``ValueError("unknown vertex ...")``.
+    """
+    return [LocalRotation(vertex, cyc) for cyc in _cycles_at(graph._labels(vertex))]
 
 
 class _Radix:

@@ -8,8 +8,10 @@ every ``.bg`` fixture; ``classify --emit json`` on the 6-leaf star, whose
 backtracker and the stabilizer chain on a dense group, and on the 6-edge
 bundle, whose 14400 pairs under |G| = 720 pin the census on a dense group
 with one rank group per side; ``analyze`` on the
-first three records of each small fixture, and on one pair that is not a
-rotation system of its graph; the library JSON of ``frucht_clean`` and
+first three records of each small fixture, on one pair that is not a
+rotation system of its graph, and on three spellings of k33's first record
+that only the character walk of ``parse_cycles`` reads (spaced, a label past
+e, a leading zero); the library JSON of ``frucht_clean`` and
 ``double_prism`` without monodromy; and the library CSV and table of
 ``frucht_clean`` without monodromy, so every ``--emit`` format is pinned on
 a graph with many records.
@@ -41,6 +43,12 @@ ALL_BG = SMALL_BG + ("double_prism", "frucht_clean", "k44", "star6")
 PLAIN = ("c3", "c5", "frucht", "k33", "k5")
 LIBRARY_JSON = ("frucht_clean", "double_prism")
 LIBRARY_TEXT = (("frucht_clean", "csv"), ("frucht_clean", "table"))
+# k33's first record in text that format_cycles would not write
+_K33_TEXTS = (
+    ("spaced pair", " (1, 2,3) ( 4,5,6)(7 ,8,9) ", "(1,4,7)\t(2,5,8) (3,6,9)"),
+    ("label past e", "(1,2,10)(4,5,6)(7,8,9)", "(1,4,7)(2,5,8)(3,6,9)"),
+    ("leading-zero label", "(01,2,3)(4,5,6)(7,8,9)", "(1,4,7)(2,5,8)(3,6,9)"),
+)
 
 
 def _cli(argv):
@@ -101,6 +109,10 @@ def cases(threads=1):
     # the identity pair puts no rotation at a vertex of degree 3
     argv = ["analyze", os.path.join(FIXTURES, "k33.bg"), "--sigma", "()", "--tau", "()"]
     yield "analyze k33.bg refused pair", lambda argv=argv: _cli(argv)
+    # text that is not plain goes through the character walk
+    for label, sigma, tau in _K33_TEXTS:
+        argv = ["analyze", os.path.join(FIXTURES, "k33.bg"), "--sigma", sigma, "--tau", tau]
+        yield f"analyze k33.bg {label}", lambda argv=argv: _cli(argv)
     for name in LIBRARY_JSON:
         yield f"library json {name}.bg", lambda name=name: _library(name, threads)
     for name, fmt in LIBRARY_TEXT:

@@ -1,8 +1,8 @@
 """Reference cycle notation for ``dessins.perm``: one character at a time.
 
-``parse_cycles`` is the character walk that was once the only parser; the
-library keeps it for text its table-speed path does not take, so here it
-is the oracle for every text, well formed or not.  ``format_cycles`` lists
+``parse_cycles`` is a frozen copy of the library's character walk, the
+oracle for every text, well formed or not, and for the plain-text
+shortcut that ``parse_report`` takes before the walk.  ``format_cycles`` lists
 the cycles, and ``cycle_lengths`` their lengths, by walking the images
 label by label.
 """

@@ -106,6 +106,24 @@ def test_disconnected_refused_by_both_formats(parse, text):
     assert str(info.value) == "graph is disconnected (unreachable: ['b', 'x'])"
 
 
+@pytest.mark.parametrize("label", [1.7, True, "x", None])
+@pytest.mark.parametrize("make", [
+    lambda edges: BipartiteGraph(["a"], ["w", "x"], edges),
+    lambda edges: PlainGraph(["a", "w", "x"], edges),
+], ids=["BipartiteGraph", "PlainGraph"])
+def test_constructors_refuse_a_label_that_is_not_an_integer(make, label):
+    # 1.7 and True would be stored as label 1, the graph otherwise valid
+    with pytest.raises(GraphStructureError) as info:
+        make([(label, "a", "w"), (2, "a", "x")])
+    assert str(info.value) == f"edge label {label!r} is not an integer"
+
+
+def test_constructors_read_decimal_label_text():
+    g = BipartiteGraph(["a"], ["w", "x"], [("1", "a", "w"), ("2", "a", "x")])
+    assert g.edges == ((1, "a", "w"), (2, "a", "x"))
+    assert PlainGraph(["a", "w"], [("1", "a", "w")]).edges == ((1, "a", "w"),)
+
+
 def test_implicit_labels_in_file_order():
     g = parse_bipartite("black a\nwhite w x\nedge a w\nedge a x\n")
     assert [(l, b, w) for l, b, w in g.edges] == [(1, "a", "w"), (2, "a", "x")]

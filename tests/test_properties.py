@@ -17,7 +17,9 @@ force.  The genus property holds the exact search of
 ``graphgenus`` to the brute-force oracle of ``genus_oracle`` on random
 plain multigraphs.  The cycle notation properties hold ``parse_cycles``
 to the character walk of ``cycles_oracle`` on random text, well formed or
-not, and ``format_cycles`` and ``cycle_type`` to its label-by-label walk.
+not, ``format_cycles`` and ``cycle_type`` to its label-by-label walk, and
+the plain-text shortcut of ``parse_report`` (``perm._plain_labels``) to
+both: it takes only text the walk accepts, and all of ``format_cycles``.
 """
 
 import itertools
@@ -50,7 +52,7 @@ from dessins import (
 )
 from dessins.bgraph import _vertex_automorphisms
 from dessins.classify import _Action, _check_keeps_family
-from dessins.perm import Permutation
+from dessins.perm import MAX_DEGREE, Permutation, _plain_labels
 from dessins.rotation import CycleText, _Radix
 
 import cycles_oracle
@@ -411,13 +413,23 @@ def parse_outcome(parse, text, degree):
 def test_parse_cycles_agrees_with_character_walk(text, degree):
     expected = parse_outcome(cycles_oracle.parse_cycles, text, degree)
     assert parse_outcome(parse_cycles, text, degree) == expected
+    # the shortcut parse_report takes only on text the walk accepts, for
+    # every e it admits; the labels it returns cover every moved label
+    labels = _plain_labels(text, degree) if 1 <= degree <= MAX_DEGREE else None
+    if labels is not None:
+        images = cycles_oracle.parse_cycles(text, degree).images
+        assert {i for i, x in enumerate(images, 1) if x != i} <= set(labels)
 
 
 @seeded
 @given(st.integers(1, 255).flatmap(lambda n: st.permutations(range(1, n + 1))))
 def test_format_cycles_agrees_with_label_walk(images):
     p = Permutation(images)
-    assert format_cycles(p) == cycles_oracle.format_cycles(p)
+    text = format_cycles(p)
+    assert text == cycles_oracle.format_cycles(p)
+    if not p.is_identity():
+        moved = {i for i, x in enumerate(images, 1) if x != i}
+        assert set(_plain_labels(text, p.degree)) == moved
 
 
 @seeded

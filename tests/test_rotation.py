@@ -38,6 +38,16 @@ def test_local_rotation_order_pinned():
     assert [r.cycle for r in rots] == [(1, 2, 3), (1, 3, 2)]
 
 
+def test_unknown_vertex_is_refused_by_name():
+    g = load_bipartite("k33.bg")
+    with pytest.raises(ValueError) as info:
+        local_rotations(g, "nope")
+    assert type(info.value) is ValueError and str(info.value) == "unknown vertex 'nope'"
+    with pytest.raises(ValueError) as info:
+        g.degree("nope")
+    assert type(info.value) is ValueError and str(info.value) == "unknown vertex 'nope'"
+
+
 def test_degree_one_vertex_single_rotation():
     g = parse_bipartite("black a\nwhite w\nedge 1 a w\n")
     assert [r.cycle for r in local_rotations(g, "a")] == [(1,)]
