@@ -299,6 +299,16 @@ class EdgeActionGroup:
     parallel class, classes sorted by labels.  ``group_order`` is the group
     order counted on the vertex side (vertex automorphisms times
     parallel-class permutations), asserted equal to ``theta.order()``.
+
+    ``group_order`` is also ``theta``'s ``order_bound``.  The automorphisms
+    of the multigraph act faithfully on the labels: every vertex lies on an
+    edge, so the edge map determines the vertex map.  The backtracker lists
+    every vertex automorphism once, and each extends to an edge map in the
+    product of the parallel classes' factorials ways, so that label action
+    has exactly ``group_order`` elements, and ``theta`` is a subgroup of it.
+    So theta's build stops verifying once its basic orbits reach that order;
+    if they never do, the verification runs to the end and the mismatch is
+    refused.
     """
 
     theta: PermGroup
@@ -436,10 +446,10 @@ def automorphism_group(graph):
                 cyc[l - 1] = ls[(i + 1) % len(ls)]
             gens.append(Permutation(cyc))
 
-    theta = PermGroup(gens, degree=graph.e)
     vertex_count = len(autos)
     for ls in parallel:
         vertex_count *= factorial(len(ls))
+    theta = PermGroup(gens, degree=graph.e, order_bound=vertex_count)
     if theta.order() != vertex_count:
         raise GraphStructureError(
             "edge action is not faithful: "

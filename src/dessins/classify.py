@@ -19,9 +19,12 @@ lookup per rank group (``rotation._Radix``) each, |G| conjugates of sigma
 per orbit and of tau only where sigma's is least, plus 2|G| conjugates
 for each non-free orbit.
 
-When the monodromy groups are wanted, their Schreier-Sims builds dominate,
-so the per-orbit invariants run in a fork pool over contiguous chunks of
-the orbits; output never depends on the worker count.
+The invariants are computed once per mirror class, on the orbit of the
+lesser representative, and shared with a chiral partner: a dessin and its
+mirror have the same invariants (proof at ``_orbit_invariants``).  When the
+monodromy groups are wanted, their Schreier-Sims builds dominate, so those
+calls run in a fork pool over contiguous chunks of the mirror classes;
+output never depends on the worker count.
 """
 
 from __future__ import annotations
@@ -155,8 +158,9 @@ def stabilizer(pair, group):
     e = pair.sigma.degree
     action = _Action(_theta(group).elements(), e)
     s, t = pair.sigma._table[:e], pair.tau._table[:e]
-    _, generators = action.fixing(action.pair_images(s, t), (s, t))
-    return PermGroup(generators, degree=e)
+    # the generators are all the fixing elements, so their count is the order
+    count, generators = action.fixing(action.pair_images(s, t), (s, t))
+    return PermGroup(generators, degree=e, order_bound=count)
 
 
 # -- census by orbit marking -------------------------------------------------
@@ -276,22 +280,46 @@ def _invariants_worker(args):
     return [invariants(pair, with_monodromy, passport=passport) for pair in pairs]
 
 
-def _orbit_invariants(pairs, threads, with_monodromy, passport):
+def _orbit_invariants(pairs, partners, threads, with_monodromy, passport):
     """invariants() of each pair of the family with this graph passport, in order.
 
+    ``partners[i]`` is the index of the orbit of pair i's mirror
+    (sigma^-1, tau^-1), i itself for a reflexive orbit.  One call serves
+    each mirror class: it is made on the lesser index and shared with the
+    partner.  A dessin and its mirror have equal invariants, field by field:
+
+    - the monodromy group <sigma^-1, tau^-1> is <sigma, tau> itself, so the
+      order, the fingerprint and ``regular`` agree;
+    - sigma^-1 and tau^-1 have the cycles of sigma and tau, so the black and
+      white degrees agree;
+    - the mirror's face permutation, tau^-1 then sigma^-1, is the inverse
+      of sigma then tau, which sigma conjugates to the face permutation,
+      tau then sigma; so the face cycle types agree, and with them the face
+      count, the genus and ``uniform``;
+    - ``is_dualizable`` reads the graph on labels with edges {i, sigma(i)}
+      and {i, tau(i)}, which is the mirror's graph too, so ``dualizable``
+      agrees.
+
     Only the monodromy groups cost enough to pay for forking; the workers
-    are bounded by the cores and the pairs, so a large ``threads`` forks
-    no more than can run.
+    are bounded by the cores and the mirror classes, so a large ``threads``
+    forks no more than can run.
     """
-    processes = min(threads, os.cpu_count() or 1, len(pairs))
+    firsts = [i for i, partner in enumerate(partners) if i <= partner]
+    todo = [pairs[i] for i in firsts]
+    processes = min(threads, os.cpu_count() or 1, len(todo))
     if not with_monodromy or processes <= 1:
-        return _invariants_worker((pairs, with_monodromy, passport))
-    jobs = [
-        (pairs[slice(*chunk_bounds(len(pairs), i, processes))], with_monodromy, passport)
-        for i in range(processes)
-    ]
-    with multiprocessing.get_context("fork").Pool(processes) as pool:
-        return [inv for part in pool.map(_invariants_worker, jobs) for inv in part]
+        invs = _invariants_worker((todo, with_monodromy, passport))
+    else:
+        jobs = [
+            (todo[slice(*chunk_bounds(len(todo), i, processes))], with_monodromy, passport)
+            for i in range(processes)
+        ]
+        with multiprocessing.get_context("fork").Pool(processes) as pool:
+            invs = [inv for part in pool.map(_invariants_worker, jobs) for inv in part]
+    shared = [None] * len(pairs)
+    for i, inv in zip(firsts, invs):
+        shared[i] = shared[partners[i]] = inv
+    return shared
 
 
 def classify(
@@ -327,11 +355,21 @@ def classify(
 
     key_to_orbit = {key: i for i, key in enumerate(sorted(census))}
     pairs = [_pair_from_tables(*key, graph) for key in key_to_orbit]
-    invs = _orbit_invariants(pairs, threads, with_monodromy, graph.passport())
+    partners = []
+    for key, orbit_id in key_to_orbit.items():
+        partner = key_to_orbit.get(mirrors[key])
+        if partner is None:
+            raise InternalInvariantError(
+                f"mirror of orbit {orbit_id} left the family"
+            )
+        partners.append(partner)
+    invs = _orbit_invariants(pairs, partners, threads, with_monodromy, graph.passport())
     records = []
     genus_histogram = {}
     dualizable_histogram = {}
-    for (key, orbit_id), pair, inv in zip(key_to_orbit.items(), pairs, invs):
+    for (key, orbit_id), pair, inv, partner in zip(
+        key_to_orbit.items(), pairs, invs, partners
+    ):
         orbit_length, aut_order, generators = census.pop(key)
         if orbit_length * aut_order != group_order:
             raise InternalInvariantError(
@@ -344,11 +382,6 @@ def classify(
                 raise InternalInvariantError(
                     f"duality oracle disagrees at orbit {orbit_id}"
                 )
-        partner = key_to_orbit.get(mirrors[key])
-        if partner is None:
-            raise InternalInvariantError(
-                f"mirror of orbit {orbit_id} left the family"
-            )
         chiral = partner != orbit_id
         records.append(DessinRecord(
             orbit_id=orbit_id,

@@ -68,6 +68,8 @@ def _budget(args, fallback):
 
 
 def cmd_classify(args, out, err):
+    if args.threads < 0:
+        raise GraphParseError(f"--threads {args.threads} is negative; 0 means all cores")
     graph = parse_bipartite(_read(args.graph))
     if args.wilson:
         try:
@@ -175,7 +177,8 @@ def build_parser():
     p = sub.add_parser("classify", help="all dessins of a bipartite graph, up to isomorphism")
     p.add_argument("graph", help="bipartite graph file (.bg)")
     p.add_argument("--emit", choices=("json", "csv", "table"), default="table")
-    p.add_argument("--threads", type=int, default=0, help="worker count (default: all cores)")
+    p.add_argument("--threads", type=int, default=0,
+                   help="worker count; 0, the default, means all cores")
     p.add_argument("--duality", action="store_true", help="cross-check duality with the group-enumeration oracle")
     p.add_argument("--budget", type=int, default=None, help="refuse more candidate pairs than this")
     p.add_argument("--wilson", metavar="R,S", default=None, help="report the orbit hit by the (R,S) power operation")

@@ -10,12 +10,15 @@ transversals and element streams reproducible run to run.
 alternating or symmetric group on all points: a transitive group of degree
 n in which a fixed word has a cycle of prime length p, n/2 < p <= n - 3,
 is primitive, so Jordan's theorem applies (see ``_jordan_order``).  Only
-groups it does not certify get a Schreier-Sims build.
+groups it does not certify get a Schreier-Sims build.  A caller that can
+prove an upper bound on the order passes it as ``order_bound``; the build
+then stops verifying once the bound is reached, and a bound below n!/2
+skips the certificate.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, prod
 
 from .perm import Permutation, _IDENT256, _invert, is_even
 
@@ -121,9 +124,29 @@ class PermGroup:
     The BSGS is built lazily on the first query that needs it; afterwards
     the group is read-only.  The base is not a parameter: each base point is
     the smallest label moved by a generator fixing the points before it.
+
+    ``order_bound``, when given, must be proven >= |G| by the caller.  The
+    build stops verifying Schreier generators once the basic orbit lengths
+    multiply to it, and ``order`` skips the giant certificate when twice
+    the bound is below n!, since then the group cannot hold A_n.  Proof that
+    the partial BSGS is then complete (Seress, *Permutation Group
+    Algorithms*, ch. 4): let G^(i) fix the base points before level i
+    pointwise and H_i be generated by level i's strong generators.  The
+    build keeps H_i <= G^(i) and H_(i+1) <= H_i, so the basic orbit
+    Delta_i of H_i has |Delta_i| <= |G^(i) : G^(i+1)|, and the product of
+    the |Delta_i| is at most |G| / |G^(k)| <= |G| <= bound, G^(k) fixing
+    the whole base.  Equality with the bound makes every step equal:
+    G^(k) = 1 and |Delta_i| = |G^(i) : G^(i+1)|.  Going up from H_k = 1 =
+    G^(k), if H_(i+1) = G^(i+1), then the stabilizer of base point i in
+    H_i contains it, so |H_i| >= |Delta_i| |G^(i+1)| = |G^(i)| and H_i =
+    G^(i).  Every remaining
+    Schreier generator then sifts to the identity and would add no strong
+    generator, so the base, the transversals and the ``elements`` order
+    are those of the full verification.  A bound that is never reached
+    lets the verification run to the end, giving the true order.
     """
 
-    def __init__(self, generators, degree=None):
+    def __init__(self, generators, degree=None, order_bound=None):
         generators = list(generators)
         if degree is None:
             if not generators:
@@ -136,6 +159,7 @@ class PermGroup:
                 )
         self.degree = degree
         self.generators = tuple(generators)
+        self._order_bound = order_bound
         self._levels = None
         self._order = None
 
@@ -201,9 +225,10 @@ class PermGroup:
 
         # bottom-up verification: at each level every Schreier generator must
         # strip through the (already complete) deeper levels; residues become
-        # strong generators exactly at the levels they fix into
+        # strong generators exactly at the levels they fix into.  Reaching
+        # the order bound proves the rest would add none (class docstring).
         i = len(levels) - 1
-        while i >= 0:
+        while i >= 0 and prod(len(lv.orbit) for lv in levels) != self._order_bound:
             lv = levels[i]
             registered = None
             for pt in sorted(lv.orbit):
@@ -227,16 +252,14 @@ class PermGroup:
                     break
             i = registered if registered is not None else i - 1
 
-        order = 1
-        for lv in levels:
-            order *= max(1, len(lv.orbit))
         self._levels = levels
-        self._order = order
+        self._order = prod(len(lv.orbit) for lv in levels)
 
     # -- queries ------------------------------------------------------------
 
     def order(self):
-        if self._order is None:
+        bound = self._order_bound
+        if self._order is None and (bound is None or 2 * bound >= factorial(self.degree)):
             self._order = _jordan_order(self)
         if self._order is None:
             self._build()

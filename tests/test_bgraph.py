@@ -340,3 +340,15 @@ def test_large_automorphism_groups_within_memory(text, order):
     )
     assert code == 0, err[-2000:]
     assert out == f"{order}\n"
+
+
+def test_unreached_order_bound_still_refuses_an_unfaithful_count(monkeypatch):
+    # each vertex automorphism listed twice doubles the bound theta is given;
+    # its orbits never reach it, so the full verification finds |theta|
+    import dessins.bgraph as bgraph_module
+
+    listed = bgraph_module._vertex_automorphisms
+    monkeypatch.setattr(bgraph_module, "_vertex_automorphisms", lambda g: listed(g) * 2)
+    with pytest.raises(GraphStructureError,
+                       match=r"^edge action is not faithful: \|theta\| = 36 but \|G\| = 72$"):
+        automorphism_group(load_bipartite("k33.bg"))

@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import pytest
@@ -15,6 +16,7 @@ from dessins import (
     cycle_type,
     enumerate_pairs,
     group_from_generators,
+    invariants,
     local_rotations,
     mirror,
     parse_bipartite,
@@ -334,10 +336,15 @@ def test_census_pool_bounded_by_cores_and_chunks(monkeypatch):
 
     monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InlinePool)
     graph = load_bipartite("a4_clean.bg")
-    # 16 candidate pairs, each its own orbit: at most 16 monodromy workers
+    # 16 candidate pairs, each its own orbit; invariants are computed once
+    # per mirror class, so there are at most that many monodromy workers
     trivial = PermGroup([], degree=graph.e)
-    solo = serialize_report(classify(graph, threads=1, group=trivial), "json")
-    for cores, threads, expected in ((8, 50000, [8]), (64, 50000, [16]),
+    report = classify(graph, threads=1, group=trivial)
+    solo = serialize_report(report, "json")
+    classes = sum(rec.mirror_partner is None or rec.orbit_id < rec.mirror_partner
+                  for rec in report.records)
+    assert (len(report.records), classes) == (16, 8)
+    for cores, threads, expected in ((8, 50000, [8]), (64, 50000, [classes]),
                                      (8, 3, [3]), (None, 50000, []), (1, 4, [])):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         sizes.clear()
@@ -351,6 +358,44 @@ def test_census_pool_bounded_by_cores_and_chunks(monkeypatch):
             sizes.clear()
             classify(graph, threads=threads, group=trivial, with_monodromy=False)
             assert sizes == []
+
+
+def _assert_chiral_invariants_hold_on_own_pair(report):
+    """Each chiral record shares its partner's invariants, and they are its own."""
+    chiral = [rec for rec in report.records if rec.mirror_status == "chiral"]
+    assert chiral
+    for rec in chiral:
+        partner = report.records[rec.mirror_partner]
+        assert rec.invariants is partner.invariants
+        with_monodromy = rec.invariants.monodromy_order is not None
+        assert invariants(rec.representative, with_monodromy) == rec.invariants
+
+
+@pytest.mark.parametrize("name, records, calls", [
+    ("c33.bg", 8, 6), ("k5_clean.bg", 78, 50), ("frucht_clean.bg", 4096, 2048),
+])
+def test_invariants_run_once_per_mirror_class(monkeypatch, name, records, calls):
+    # the package's ``classify`` is the function, so look the module up
+    classify_module = importlib.import_module("dessins.classify")
+    pairs = []
+    original = classify_module.invariants
+
+    def counted(pair, *args, **kwargs):
+        pairs.append(pair)
+        return original(pair, *args, **kwargs)
+
+    monkeypatch.setattr(classify_module, "invariants", counted)
+    report = classify(load_bipartite(name), threads=1)
+    classes = [rec.representative for rec in report.records
+               if rec.mirror_partner is None or rec.orbit_id < rec.mirror_partner]
+    assert (len(report.records), len(pairs)) == (records, calls)
+    assert pairs == classes
+    _assert_chiral_invariants_hold_on_own_pair(report)
+
+
+def test_chiral_records_keep_their_own_invariants(c33_report, dp_report):
+    for report in (c33_report, dp_report):
+        _assert_chiral_invariants_hold_on_own_pair(report)
 
 
 def test_budget_refusal():

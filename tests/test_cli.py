@@ -40,6 +40,17 @@ def test_classify_json_k33():
     assert doc["graph"]["aut_group_order"] == 36
 
 
+def test_classify_refuses_a_negative_thread_count():
+    code, out, err = run(["classify", fixture_path("k33.bg"), "--threads", "-2"])
+    assert (code, out, err) == (2, "", "error: --threads -2 is negative; 0 means all cores\n")
+
+
+def test_classify_zero_threads_means_all_cores():
+    code, out, _ = run(["classify", fixture_path("k33.bg"), "--emit", "json", "--threads", "0"])
+    assert code == 0
+    assert out == run(["classify", fixture_path("k33.bg"), "--emit", "json", "--threads", "1"])[1]
+
+
 def test_classify_csv_counts():
     code, out, _ = run(["classify", fixture_path("d33.bg"), "--emit", "csv"])
     assert code == 0

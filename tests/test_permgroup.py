@@ -1,11 +1,14 @@
+import os
 import random
 from math import factorial
 
 import pytest
 
+import dessins.permgroup as permgroup_module
 from dessins import (
     CapExceededError,
     PermGroup,
+    automorphism_group,
     compose,
     group_from_generators,
     identity,
@@ -21,6 +24,7 @@ from dessins.permgroup import (
 )
 
 import corpus
+from conftest import FIXTURES, load_bipartite
 
 
 def P(s, n):
@@ -427,3 +431,70 @@ def test_certified_orders_on_random_transitive_groups():
                 certified += 1
                 assert certificate == reference
     assert certified > 0 and declined > 0
+
+
+# -- order bounds ---------------------------------------------------------------
+
+def chain(g):
+    """The base points, strong generators and transversals of g's BSGS."""
+    g.base()
+    return [(lv.base, lv.gens, lv.orbit) for lv in g._levels]
+
+
+@pytest.mark.parametrize(
+    "name", sorted(f for f in os.listdir(FIXTURES) if f.endswith(".bg")))
+def test_order_bound_keeps_the_chain_of_every_theta(name):
+    group = automorphism_group(load_bipartite(name))
+    gens, e = group.theta.generators, group.theta.degree
+    bounded = PermGroup(gens, degree=e, order_bound=group.group_order)
+    free = PermGroup(gens, degree=e)
+    assert bounded.order() == free.order() == group.group_order
+    assert chain(bounded) == chain(free) == chain(group.theta)
+    assert list(bounded.elements()) == list(free.elements())
+
+
+def test_order_bound_keeps_the_chain_of_stabilizers(dp_report):
+    e = dp_report.graph.e
+    records = [rec for rec in dp_report.records if rec.aut_generators]
+    assert records
+    for rec in records:
+        bounded = PermGroup(rec.aut_generators, degree=e, order_bound=rec.aut_order)
+        free = PermGroup(rec.aut_generators, degree=e)
+        assert bounded.order() == free.order() == rec.aut_order
+        assert chain(bounded) == chain(free)
+        assert list(bounded.elements()) == list(free.elements())
+
+
+def test_order_bound_keeps_the_chain_of_random_groups():
+    # few generators, so the bound is often reached partway through the
+    # verification rather than by the first orbits
+    rng = random.Random(61)
+    for _ in range(80):
+        n = rng.randrange(2, 8)
+        gens = [random_permutation(n, rng) for _ in range(rng.randrange(1, 4))]
+        free = PermGroup(gens)
+        order = free.order()
+        for bound in (order, order + 1, 2 * order):
+            bounded = PermGroup(gens, order_bound=bound)
+            assert bounded.order() == order
+            assert chain(bounded) == chain(free)
+
+
+def test_order_bound_above_the_order_gives_the_order():
+    assert PermGroup([P("(1,2,3)", 3)], order_bound=6).order() == 3
+    gens = [P("(1,2)(3,4)", 4), P("(1,3)(2,4)", 4)]
+    assert PermGroup(gens, order_bound=24).order() == 4
+    assert len(list(PermGroup(gens, order_bound=24).elements())) == 4
+
+
+def test_order_bound_below_the_giants_skips_the_certificate(monkeypatch):
+    def refuse(group):
+        raise AssertionError("certificate tried")
+
+    monkeypatch.setattr(permgroup_module, "_jordan_order", refuse)
+    dihedral = [P("(1,2,3,4,5,6,7,8)", 8), P("(2,8)(3,7)(4,6)", 8)]
+    for bound in (16, 1000, 20159):  # 2 * bound < 8! = 40320
+        assert PermGroup(dihedral, order_bound=bound).order() == 16
+    for bound in (None, 20160, 40320):  # A_8 fits the bound
+        with pytest.raises(AssertionError, match="certificate tried"):
+            PermGroup(dihedral, order_bound=bound).order()
