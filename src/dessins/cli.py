@@ -55,13 +55,18 @@ def _default_budget():
     if env is None:
         return None
     try:
-        return int(env)
+        budget = int(env)
     except ValueError:
         raise GraphParseError(f"DESSIN_BUDGET is not an integer: {env!r}")
+    if budget < 0:
+        raise GraphParseError(f"DESSIN_BUDGET {budget} is negative")
+    return budget
 
 
 def _budget(args, fallback):
     if args.budget is not None:
+        if args.budget < 0:
+            raise GraphParseError(f"--budget {args.budget} is negative")
         return args.budget
     env = _default_budget()
     return env if env is not None else fallback

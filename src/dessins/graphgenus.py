@@ -29,23 +29,39 @@ with a cycle is at least girth long, so gamma <= 2e / girth, and
 gamma >= 1 (or 2, by parity).  Its budget counts search nodes, one per
 local rotation tried at any level.
 
-``genus_histogram`` visits every leaf, with a vertex w of largest degree
-innermost.  Once every other vertex is fixed, the open paths run from the
-darts of w to the tau-images of its darts, which defines a bijection f of
-the darts of w; a rotation r at w then closes exactly the cycles of r o f.
-For any permutation g of the darts, g r g^-1 o g f g^-1 has as many cycles
-as r o f, and g r g^-1 runs over all full cycles as r does; so the
-distribution of that count over the (deg w - 1)! rotations depends only on
-the cycle type of f, one table entry per partition of deg w.
+``genus_histogram`` counts classes of partial states, not rotation
+systems (the state counting of Gross and Furst, J. Graph Theory 1987).
+Once some vertices are fixed, every open path starts at a dart x of an
+unfixed vertex and ends at tau(y) for an unfixed dart y; call this map Q,
+Q(x) = y.  Fixing the remaining rotations as R closes exactly the cycles
+of R o Q.  For h permuting the darts inside each unfixed vertex, h R h^-1
+runs over the same rotations as R does, and (h R h^-1)(h Q h^-1) =
+h (R Q) h^-1 has as many cycles; so the distribution of the faces still to
+close depends only on the class of Q under such h, the multiset of Q's
+cycles each written as a cyclic word of vertex names.  A state is one
+``bytes`` per class: its words at their least rotation, sorted, joined by
+0 (vertex i is the letter i + 1), with a counter of the faces closed so
+far.  At first Q is tau, one word per edge.  Each level fixes one vertex:
+every rotation of it acts on every class, and the classes reached merge
+their counters.  Vertices are fixed fewest rotations first, then most
+edges to the vertices already fixed, then least index; that keeps the
+classes few (at most 7 per level for K_{3,5}, 31 for Frucht, 510 for K_6),
+where an order by connectivity alone reached 413 for K_{3,5}.  Each
+rotation is one successor table in bytes, and the range search's links
+are never built.  The histogram is still refused up front when its
+systems exceed the budget.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import permutations
+from math import factorial
 
 from .bgraph import GraphStructureError, cleanify
-from .perm import MAX_DEGREE, Permutation, cycle_type
+from .perm import MAX_DEGREE, Permutation
 from .rotation import _apply_cycle, _cycles_at
 
 DEFAULT_GENUS_BUDGET = 10**7
@@ -77,7 +93,9 @@ class GenusRange:
 
 
 class _Subdivision:
-    """The subdivided graph, its fixed tau and the links of every local rotation."""
+    """The subdivided graph, its fixed tau and the links of every local
+    rotation; the rotations and links are built on first use, which the
+    histogram never makes."""
 
     def __init__(self, plain):
         if len(plain.edges) > MAX_EDGES:
@@ -93,8 +111,14 @@ class _Subdivision:
         for labels in clean.white_labels.values():
             _apply_cycle(tau, labels)
         self.tau = tau
-        self.opts = [_cycles_at(clean.black_labels[v]) for v in clean.blacks]
-        self.links = [[_links(cycle, tau) for cycle in opts] for opts in self.opts]
+
+    @cached_property
+    def opts(self):
+        return [_cycles_at(self.clean.black_labels[v]) for v in self.clean.blacks]
+
+    @cached_property
+    def links(self):
+        return [[_links(cycle, self.tau) for cycle in opts] for opts in self.opts]
 
     def genus(self, gamma):
         defect = self.excess - gamma
@@ -233,62 +257,120 @@ def genus_range(plain, budget=DEFAULT_GENUS_BUDGET):
     )
 
 
-def _cycle_lengths(table):
-    return cycle_type(Permutation._from_table(bytes(table), len(table)))
+def _fixing_order(plain, counts):
+    """Vertex indices in the order their rotations are fixed: fewest
+    rotations (``counts``) first, then most edges to the vertices already
+    fixed, then least index."""
+    index = {v: i for i, v in enumerate(plain.vertices)}
+    neighbours = [[] for _ in counts]
+    for _, u, v in plain.edges:
+        neighbours[index[u]].append(index[v])
+        neighbours[index[v]].append(index[u])
+    fixed_edges = [0] * len(counts)
+    left = set(range(len(counts)))
+    order = []
+    while left:
+        v = min(left, key=lambda v: (counts[v], -fixed_edges[v], v))
+        left.remove(v)
+        order.append(v)
+        for w in neighbours[v]:
+            fixed_edges[w] += 1
+    return order
 
 
-def _closing_table(kind):
-    """Number of full cycles r with c cycles in r o f, by c, for f of this kind."""
-    f = []
-    for length in kind:
-        start = len(f)
-        f += [*range(start + 1, start + length), start]
-    counts = Counter()
-    for cycle in _cycles_at(range(1, len(f) + 1)):
-        r = bytearray(range(len(f)))
-        _apply_cycle(r, cycle)
-        counts[len(_cycle_lengths([r[y] for y in f]))] += 1
-    return counts
+def _successors(degree):
+    """Every full cycle on range(degree) as a successor table, in bytes."""
+    tables = []
+    for rest in permutations(range(1, degree)):
+        table = bytearray(degree)
+        for x, y in zip((0, *rest), (*rest, 0)):
+            table[x] = y
+        tables.append(bytes(table))
+    return tables
+
+
+def _least_rotation(word):
+    least = min(word)
+    return min(word[i:] + word[:i] for i, x in enumerate(word) if x == least)
+
+
+def _fix(states, letter, rotations):
+    """The classes after fixing the vertex written ``letter``, each with its
+    counter of closed faces.
+
+    Each occurrence of the letter in a word stands for one of the vertex's
+    darts x, in any order, since ``rotations`` holds every full cycle on
+    the occurrences as a successor table.  The letters after x, up to the
+    next occurrence y in the same cyclic word, are the open paths from x
+    on to tau(y).  A rotation r links tau(y) to r(y), so the new words are
+    the segments joined along the cycles of r o next, and a cycle whose
+    segments are all empty is a closed face.
+    """
+    after = {}
+    for key, counts in states.items():
+        kept, segments, following = [], [], []
+        for word in key.split(b"\0"):
+            if letter not in word:
+                kept.append(word)
+                continue
+            at = [i for i, x in enumerate(word) if x == letter]
+            first = len(following)
+            twice = word + word
+            for k, (i, j) in enumerate(zip(at, at[1:] + [at[0] + len(word)])):
+                segments.append(twice[i + 1 : j])
+                following.append(first + (k + 1) % len(at))
+        moves = Counter()
+        for r in rotations:
+            step = [r[y] for y in following]
+            seen = [False] * len(step)
+            words = kept.copy()
+            closed = 0
+            for start in range(len(step)):
+                parts = []
+                x = start
+                while not seen[x]:
+                    seen[x] = True
+                    parts.append(segments[x])
+                    x = step[x]
+                if parts:
+                    word = b"".join(parts)
+                    if word:
+                        words.append(_least_rotation(word))
+                    else:
+                        closed += 1
+            words.sort()
+            moves[b"\0".join(words), closed] += 1
+        for (new, closed), m in moves.items():
+            target = after.setdefault(new, Counter())
+            for faces, count in counts.items():
+                target[faces + closed] += count * m
+    return after
 
 
 def genus_histogram(plain, budget=DEFAULT_GENUS_BUDGET):
     """Count of rotation systems per genus (not up to isomorphism).
 
-    Raises GenusBudgetError when there are more than ``budget`` systems,
-    and GraphStructureError past ``MAX_EDGES``.
+    Counts classes of open-path states level by level (see the module
+    docstring), so its work grows with the number of classes, not of
+    systems; still, it raises GenusBudgetError when there are more than
+    ``budget`` systems, and GraphStructureError past ``MAX_EDGES``.
     """
     sub = _Subdivision(plain)
     total = sub.clean.candidate_count()
     if total > budget:
         raise GenusBudgetError(total, budget)
-    # fewest options outermost keeps the inner levels few; w innermost
-    order = sorted(range(len(sub.links)), key=lambda v: len(sub.links[v]))
-    w = order.pop()
-    levels = [sub.links[v] for v in order]
-    darts = [label - 1 for label in sub.opts[w][0]]
-    where = {x: i for i, x in enumerate(darts)}
-    tau = sub.tau
-    head_of = list(range(sub.n))
-    tail_of = list(range(sub.n))
-    leaves = Counter()
-
-    def visit(i, closed):
-        if i == len(levels):
-            f = tuple(where[tau[tail_of[x]]] for x in darts)
-            leaves[closed, f] += 1
-            return
-        for links in levels[i]:
-            more = _join(head_of, tail_of, links)
-            visit(i + 1, closed + more)
-            _split(head_of, tail_of, links)
-
-    visit(0, 0)
-    tables = {}
+    # letter i + 1 for vertex i, so that 0 can separate the words of a state;
+    # a connected graph has at most MAX_EDGES + 1 < 256 vertices
+    letter = {v: i + 1 for i, v in enumerate(plain.vertices)}
+    edges = (bytes(sorted((letter[u], letter[v]))) for _, u, v in plain.edges)
+    states = {b"\0".join(sorted(edges)): Counter({0: 1})}
+    degrees = [len(sub.clean.black_labels[v]) for v in sub.clean.blacks]
+    successors = {}
+    for v in _fixing_order(plain, [factorial(d - 1) for d in degrees]):
+        if degrees[v] not in successors:
+            successors[degrees[v]] = _successors(degrees[v])
+        states = _fix(states, v + 1, successors[degrees[v]])
     hist = Counter()
-    for (closed, f), count in leaves.items():
-        kind = _cycle_lengths(f)
-        if kind not in tables:
-            tables[kind] = _closing_table(kind)
-        for more, m in tables[kind].items():
-            hist[sub.genus(closed + more)] += count * m
+    for faces, count in states[b""].items():
+        hist[sub.genus(faces)] += count
     return dict(sorted(hist.items()))

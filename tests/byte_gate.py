@@ -2,8 +2,8 @@
 
 The matrix covers ``dessins classify`` on the six small ``.bg`` fixtures in
 every ``--emit`` format, with and without ``--wilson 1,1``;
-``genus-range --histogram`` on every ``.g`` fixture but K6; ``autgroup`` on
-every ``.bg`` fixture; ``classify --emit json`` on the 6-leaf star, whose
+``genus-range --histogram`` on every ``.g`` fixture, K6 with a budget that
+admits its 24^6 rotation systems; ``autgroup`` on every ``.bg`` fixture; ``classify --emit json`` on the 6-leaf star, whose
 719 generators and 5 listed stabilizer elements pin the automorphism
 backtracker and the stabilizer chain on a dense group, and on the 6-edge
 bundle, whose 14400 pairs under |G| = 720 pin the census on a dense group
@@ -100,6 +100,9 @@ def cases(threads=1):
     for name in PLAIN:
         argv = ["genus-range", os.path.join(FIXTURES, name + ".g"), "--histogram"]
         yield f"genus-range {name}.g --histogram", lambda argv=argv: _cli(argv)
+    argv = ["genus-range", os.path.join(FIXTURES, "k6.g"), "--histogram",
+            "--budget", str(24**6)]
+    yield f"genus-range k6.g --histogram --budget {24**6}", lambda argv=argv: _cli(argv)
     for name in ALL_BG:
         argv = ["autgroup", os.path.join(FIXTURES, name + ".bg")]
         yield f"autgroup {name}.bg", lambda argv=argv: _cli(argv)

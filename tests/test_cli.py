@@ -94,6 +94,20 @@ def test_classify_budget_env_not_an_integer(monkeypatch):
     assert err == "error: DESSIN_BUDGET is not an integer: 'abc'\n"
 
 
+def test_negative_budget_is_refused_as_invalid(monkeypatch):
+    # a negative budget is bad input (exit 2), not a refused search (exit 3)
+    for argv, flag in ((["genus-range", fixture_path("k5.g"), "--budget", "-5"], "--budget -5"),
+                       (["classify", fixture_path("k33.bg"), "--budget", "-1"], "--budget -1")):
+        assert run(argv) == (2, "", f"error: {flag} is negative\n")
+    for argv in (["genus-range", fixture_path("k5.g")], ["classify", fixture_path("k33.bg")]):
+        assert run(argv, env={"DESSIN_BUDGET": "-1"}, monkeypatch=monkeypatch) == (
+            2, "", "error: DESSIN_BUDGET -1 is negative\n")
+    # zero still refuses every search
+    code, out, err = run(["genus-range", fixture_path("k5.g"), "--budget", "0"])
+    assert (code, out) == (3, "")
+    assert err == "error: 1 search nodes exceed budget 0; exact search refused\n"
+
+
 def test_classify_wilson_flag():
     code, out, _ = run(["classify", fixture_path("k33.bg"),
                         "--emit", "json", "--wilson", "2,2"])

@@ -1,4 +1,6 @@
 import os
+import random
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -16,6 +18,7 @@ from dessins import (
     invariants,
     parse_plain,
 )
+from dessins import graphgenus
 from dessins.rotation import RotationPair, membership_failure
 
 from conftest import FIXTURES, load_plain
@@ -37,6 +40,14 @@ edge 5 x y
 edge 6 y z
 edge 7 z x
 """
+K35 = PlainGraph([*"abc", *"vwxyz"], [
+    (k, u, v) for k, (u, v) in enumerate(product("abc", "vwxyz"), 1)])
+
+
+def named_plain(name):
+    if name == "k35":
+        return K35
+    return parse_plain(DUMBBELL) if name == "dumbbell" else load_plain(name)
 
 
 def validate_witness(plain, result):
@@ -124,7 +135,119 @@ def test_k6_range_within_default_budget():
         genus_histogram(plain)
 
 
-# k6.g alone is out of reach: 24^6 systems to count one by one
+def test_k6_histogram():
+    # all 24^6 systems, as the earlier leaf-by-leaf search counted them
+    plain = load_plain("k6.g")
+    hist = genus_histogram(plain, budget=24**6)
+    assert hist == {1: 1800, 2: 654576, 3: 24613800, 4: 124250208, 5: 41582592}
+    assert sum(hist.values()) == 24**6
+    result = genus_range(plain)
+    assert (min(hist), max(hist)) == (result.mu, result.nu) == (1, 5)
+
+
+def relabeled(plain, seed):
+    """An isomorphic copy with shuffled edge labels, vertex names, vertex
+    and edge listing order and edge ends."""
+    rng = random.Random(seed)
+    names = rng.sample(range(10 * len(plain.vertices)), len(plain.vertices))
+    rename = {v: f"v{n}" for v, n in zip(plain.vertices, names)}
+    labels = list(range(1, len(plain.edges) + 1))
+    rng.shuffle(labels)
+    edges = [(labels[l - 1], *rng.sample((rename[u], rename[v]), 2))
+             for l, u, v in plain.edges]
+    rng.shuffle(edges)
+    vertices = list(rename.values())
+    rng.shuffle(vertices)
+    return PlainGraph(vertices, edges)
+
+
+@pytest.mark.parametrize("name", ["k35", "frucht.g", "dumbbell"])
+def test_histogram_independent_of_labels(name):
+    # the fixing order breaks ties by vertex index, so each copy takes
+    # another path through the classes
+    plain = named_plain(name)
+    hist = genus_histogram(plain)
+    assert sum(hist.values()) == cleanify(plain).candidate_count()
+    for seed in range(5):
+        assert genus_histogram(relabeled(plain, seed)) == hist
+
+
+@pytest.mark.parametrize("name, widest", [
+    ("k35", 7), ("k5.g", 14), ("frucht.g", 31), ("k6.g", 510)])
+def test_histogram_classes_per_level(monkeypatch, name, widest):
+    # the classes are the histogram's work; fixing the vertices by
+    # connectivity alone, or keying a class by anything less canonical than
+    # its sorted least rotations, gives more (413 for K_{3,5} by connectivity)
+    widths = []
+    fix = graphgenus._fix
+
+    def counted(*args):
+        states = fix(*args)
+        widths.append(len(states))
+        return states
+
+    monkeypatch.setattr(graphgenus, "_fix", counted)
+    genus_histogram(named_plain(name), budget=24**6)
+    assert max(widths) == widest
+
+
+def circular_ladder(k):
+    """C_k x K_2: two k-cycles u and v joined by the rungs u_i v_i."""
+    edges = []
+    for i in range(k):
+        j = (i + 1) % k
+        edges += [(f"u{i}", f"u{j}"), (f"v{i}", f"v{j}"), (f"u{i}", f"v{i}")]
+    return PlainGraph([f"{c}{i}" for c in "uv" for i in range(k)],
+                      [(n, u, v) for n, (u, v) in enumerate(edges, 1)])
+
+
+# networkx.random_regular_graph(3, 22, seed=22), edges sorted
+CUBIC22 = (
+    (0, 6), (0, 7), (0, 15), (1, 6), (1, 11), (1, 15), (2, 9), (2, 12), (2, 15),
+    (3, 7), (3, 17), (3, 19), (4, 5), (4, 12), (4, 17), (5, 14), (5, 21),
+    (6, 11), (7, 8), (8, 10), (8, 21), (9, 17), (9, 20), (10, 14), (10, 18),
+    (11, 18), (12, 13), (13, 14), (13, 16), (16, 19), (16, 20), (18, 20),
+    (19, 21),
+)
+
+
+def traced_histogram(plain):
+    """The histogram and the peak of memory traced while it is computed."""
+    tracemalloc.start()
+    try:
+        return genus_histogram(plain), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("plain, expected", [
+    (circular_ladder(11),
+     {0: 2, 1: 2134, 2: 47784, 3: 397056, 4: 1447424, 5: 1939456, 6: 360448}),
+    (PlainGraph([f"x{i}" for i in range(22)],
+                [(n, f"x{u}", f"x{v}") for n, (u, v) in enumerate(CUBIC22, 1)]),
+     {1: 4, 2: 1014, 3: 61742, 4: 905624, 5: 2599232, 6: 626688}),
+], ids=["ladder", "cubic22"])
+def test_cubic_histograms_in_small_memory(plain, expected):
+    # 2^22 systems each, as the earlier leaf-by-leaf search counted them;
+    # the ladder's widest level holds 4326 classes, about 2.8 MB traced
+    hist, peak = traced_histogram(plain)
+    assert hist == expected
+    assert sum(hist.values()) == 2**22
+    assert peak < 8 * 2**20
+
+
+def test_star_histogram_builds_no_links():
+    # the centre's 7! rotations are 5040 successor tables of 8 bytes; the
+    # range search's rotations and links (about 3.8 MB here) are not built
+    leaves = "ABCDEFGH"
+    star = PlainGraph(["c", *leaves], [(i, "c", v) for i, v in enumerate(leaves, 1)])
+    hist, peak = traced_histogram(star)
+    assert hist == {0: 5040}
+    assert peak < 2**20
+
+
+# the oracle visits systems one by one, which K6's 24^6 put out of reach;
+# its histogram is pinned in test_k6_histogram
 BRUTE_FORCE_FIXTURES = sorted(
     f for f in os.listdir(FIXTURES) if f.endswith(".g") and f != "k6.g"
 )
