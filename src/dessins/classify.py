@@ -201,7 +201,7 @@ def _ranker(radix, action):
     inverses = [ginv + pad for ginv, _ in action.elems]
     groups = [
         (side, terms.__getitem__, [gather.translate(ginv) for ginv in inverses])
-        for side, gather, terms in radix.groups
+        for side, gather, terms, _ in radix.groups
     ]
     translate = bytes.translate
     add_columns = partial(map, add)

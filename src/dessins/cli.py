@@ -48,6 +48,8 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise GraphParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _default_budget():

@@ -16,7 +16,10 @@ far as open paths (``head_of`` and ``tail_of`` arrays); a link either
 closes a path into a face or joins two paths, and is undone in reverse
 order on the way back.  Every open path lies on a face still to come, so
 closed faces + open paths bounds the face count of a subtree from above,
-and closed faces + 1 from below.
+and closed faces + 1 from below.  A local rotation is read as the images
+of its vertex's sorted labels (``rotation._rotations``), so its links are
+the labels' tau-images zipped with those images, and a witness sigma is
+one ``bytes.maketrans`` from all the labels to the images chosen.
 
 ``genus_range`` runs the search twice, once for the most and once for the
 fewest faces, and prunes every subtree whose bound cannot strictly beat
@@ -46,10 +49,10 @@ every rotation of it acts on every class, and the classes reached merge
 their counters.  Vertices are fixed fewest rotations first, then most
 edges to the vertices already fixed, then least index; that keeps the
 classes few (at most 7 per level for K_{3,5}, 31 for Frucht, 510 for K_6),
-where an order by connectivity alone reached 413 for K_{3,5}.  Each
-rotation is one successor table in bytes, and the range search's links
-are never built.  The histogram is still refused up front when its
-systems exceed the budget.
+where an order by connectivity alone reached 413 for K_{3,5}.  A rotation
+of a vertex of degree d is read as the images of range(d) under it, its
+successor table, and the range search's links are never built.  The
+histogram is still refused up front when its systems exceed the budget.
 """
 
 from __future__ import annotations
@@ -57,12 +60,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 from math import factorial
 
 from .bgraph import GraphStructureError, cleanify
 from .perm import MAX_DEGREE, Permutation
-from .rotation import _apply_cycle, _cycles_at
+from .rotation import _rotations
 
 DEFAULT_GENUS_BUDGET = 10**7
 
@@ -93,9 +95,10 @@ class GenusRange:
 
 
 class _Subdivision:
-    """The subdivided graph, its fixed tau and the links of every local
-    rotation; the rotations and links are built on first use, which the
-    histogram never makes."""
+    """The subdivided graph: each black vertex's sorted 0-based labels as
+    bytes, the fixed tau as a 256-byte table, and the links of every local
+    rotation.  The links are built on first use, which the histogram never
+    makes; a witness sigma is read back from them."""
 
     def __init__(self, plain):
         if len(plain.edges) > MAX_EDGES:
@@ -106,19 +109,20 @@ class _Subdivision:
         # gamma has the parity of e - alpha
         self.excess = len(plain.edges) - len(plain.vertices)
         self.clean = clean = cleanify(plain)
-        self.n = n = clean.e
-        tau = bytearray(range(n))
-        for labels in clean.white_labels.values():
-            _apply_cycle(tau, labels)
-        self.tau = tau
-
-    @cached_property
-    def opts(self):
-        return [_cycles_at(self.clean.black_labels[v]) for v in self.clean.blacks]
+        self.n = clean.e
+        self.labels = [bytes(x - 1 for x in clean.black_labels[v]) for v in clean.blacks]
+        whites = [bytes(x - 1 for x in ls) for ls in clean.white_labels.values()]
+        # a midpoint has degree 2, so one rotation
+        self.tau = bytes.maketrans(b"".join(whites), b"".join(_rotations(w)[0] for w in whites))
 
     @cached_property
     def links(self):
-        return [[_links(cycle, self.tau) for cycle in opts] for opts in self.opts]
+        """Per vertex and rotation, the links tau(d) -> sigma(d) of its
+        darts d in label order."""
+        return [
+            [tuple(zip(labels.translate(self.tau), images)) for images in _rotations(labels)]
+            for labels in self.labels
+        ]
 
     def genus(self, gamma):
         defect = self.excess - gamma
@@ -127,16 +131,9 @@ class _Subdivision:
         return 1 + defect // 2
 
     def sigma(self, digits):
-        table = bytearray(range(self.n))
-        for opts, d in zip(self.opts, digits):
-            _apply_cycle(table, opts[d])
-        return Permutation._from_table(table, self.n)
-
-
-def _links(cycle, tau):
-    """The links tau(d) -> sigma(d) fixed by one local rotation, 0-based."""
-    darts = [label - 1 for label in cycle]
-    return tuple((tau[d], s) for d, s in zip(darts, darts[1:] + darts[:1]))
+        # the links of a rotation end at the images of the vertex's labels
+        images = bytes(s for links, d in zip(self.links, digits) for _, s in links[d])
+        return Permutation._from_table(bytes.maketrans(b"".join(self.labels), images), self.n)
 
 
 def _join(head_of, tail_of, links):
@@ -278,17 +275,6 @@ def _fixing_order(plain, counts):
     return order
 
 
-def _successors(degree):
-    """Every full cycle on range(degree) as a successor table, in bytes."""
-    tables = []
-    for rest in permutations(range(1, degree)):
-        table = bytearray(degree)
-        for x, y in zip((0, *rest), (*rest, 0)):
-            table[x] = y
-        tables.append(bytes(table))
-    return tables
-
-
 def _least_rotation(word):
     least = min(word)
     return min(word[i:] + word[:i] for i, x in enumerate(word) if x == least)
@@ -364,12 +350,12 @@ def genus_histogram(plain, budget=DEFAULT_GENUS_BUDGET):
     letter = {v: i + 1 for i, v in enumerate(plain.vertices)}
     edges = (bytes(sorted((letter[u], letter[v]))) for _, u, v in plain.edges)
     states = {b"\0".join(sorted(edges)): Counter({0: 1})}
-    degrees = [len(sub.clean.black_labels[v]) for v in sub.clean.blacks]
-    successors = {}
+    degrees = [len(labels) for labels in sub.labels]
+    rotations = {}
     for v in _fixing_order(plain, [factorial(d - 1) for d in degrees]):
-        if degrees[v] not in successors:
-            successors[degrees[v]] = _successors(degrees[v])
-        states = _fix(states, v + 1, successors[degrees[v]])
+        if degrees[v] not in rotations:
+            rotations[degrees[v]] = _rotations(bytes(range(degrees[v])))
+        states = _fix(states, v + 1, rotations[degrees[v]])
     hist = Counter()
     for faces, count in states[b""].items():
         hist[sub.genus(faces)] += count

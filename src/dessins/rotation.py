@@ -3,15 +3,18 @@
 The stream order is pinned: one mixed-radix counter over per-vertex rotation
 indices, black vertices varying fastest, each vertex's rotations in
 lexicographic order with the smallest incident label held first.  A pair's
-index in that order is its rank.  ``_Radix.unrank`` computes the pair at
-an index (Knuth, TAOCP 4A, 7.2.1.1), with one ``divmod`` and one
-``bytes.translate`` per vertex that has a choice of rotation; so any index,
-or any slice of the index range (``chunk_bounds``), gives the same pairs as
-the whole stream.  ``_Radix.rank`` inverts it by rank groups: runs of
-consecutive vertices of one colour whose rotation counts multiply to at
-most ``_GROUP_CAP`` (a vertex with more rotations is a group of its own).
-A group reads the images of its labels with one ``bytes.translate`` and
-looks them up in one dict of summed rank terms.
+index in that order is its rank.  One local rotation has one form here:
+the images of its vertex's sorted labels, as bytes (``_rotations``).
+``_Radix`` splits the vertices with a choice of rotation into rank groups:
+runs of consecutive vertices of one colour whose rotation counts multiply
+to at most ``_GROUP_CAP`` (a vertex with more rotations is a group of its
+own).  A group lists the joined images of its labels by its digit, and
+maps them back to its summed rank term in one dict.  ``_Radix.unrank``
+computes the pair at an index (Knuth, TAOCP 4A, 7.2.1.1) with one
+``divmod`` per rank group and one ``bytes.maketrans`` per side; so any
+index, or any slice of the index range (``chunk_bounds``), gives the same
+pairs as the whole stream.  ``_Radix.rank`` inverts it: each group reads
+the images of its labels with one ``bytes.translate`` and looks them up.
 
 In the family the sigma-cycles are the label sets of the black vertices and
 the tau-cycles those of the white ones, so ``CycleText`` writes the cycle
@@ -68,41 +71,45 @@ def local_rotations(graph, vertex):
 
 
 class _Radix:
-    """Per-vertex rotation tables and the mixed-radix pair indexing.
+    """The mixed-radix pair indexing, by rank groups.
 
-    ``groups`` holds one ``(side, gather, terms)`` per rank group: the
-    0-based labels of its vertices as bytes, and the dict from their images
-    under a table of that side to the group's summed rank terms.
+    ``groups`` holds one ``(side, gather, terms, keys)`` per rank group: the
+    0-based labels of its vertices as bytes, the dict from their images
+    under a table of that side to the group's summed rank terms, and those
+    images listed by group digit.  ``_sides`` holds, per side, the labels of
+    all its vertices, those without a choice of rotation first, and the
+    images of the latter.  ``unrank`` appends each group's images at its
+    digit to those of its side, and makes each side's table with one
+    ``bytes.maketrans`` from the side's labels to their images.
     """
 
     def __init__(self, graph):
         self.e = graph.e
         self._pad = _IDENT256[graph.e:]
-        base = (bytearray(range(graph.e)), bytearray(range(graph.e)))
-        groups = []
-        self._digits = []
+        groups, sides = [], []
         self.total = 1
-        sides = ((graph.blacks, graph.black_labels), (graph.whites, graph.white_labels))
-        for side, (vertices, labels) in enumerate(sides):
-            run, size = [], 1
-            for v in vertices:
-                opts = _cycles_at(labels[v])
-                if len(opts) == 1:  # adds 0 to every rank
-                    _apply_cycle(base[side], opts[0])
+        for side, labels in enumerate((graph.black_labels, graph.white_labels)):
+            fixed, images, run, size = bytearray(), bytearray(), [], 1
+            for ls in labels.values():
+                ls = bytes(label - 1 for label in ls)
+                rotations = _rotations(ls)
+                if len(rotations) == 1:  # adds 0 to every rank
+                    fixed += ls
+                    images += rotations[0]
                     continue
-                if run and size * len(opts) > _GROUP_CAP:
-                    groups.append((side, *_group(run)))
+                if run and size * len(rotations) > _GROUP_CAP:
+                    groups.append(_group(side, run, self.total // size))
                     run, size = [], 1
-                place, tables = _place(opts, self.total)
-                run.append(place)
-                size *= len(opts)
-                self._digits.append((len(opts), side, tables))
-                self.total *= len(opts)
+                run.append((ls, rotations))
+                size *= len(rotations)
+                self.total *= len(rotations)
             if run:
-                groups.append((side, *_group(run)))
-        self._base = tuple(bytes(b) for b in base)
+                groups.append(_group(side, run, self.total // size))
+            gather = b"".join([fixed] + [g for s, g, _, _ in groups if s == side])
+            sides.append((gather, bytes(images)))
+        self._sides = sides
         # a graph without a choice of rotation has the one rank 0
-        self.groups = tuple(groups) or ((0, b"", {b"": 0}),)
+        self.groups = tuple(groups) or ((0, b"", {b"": 0}, [b""]),)
 
     def rank(self, s, t):
         """The stream index of the pair of 0-based tables (s, t).
@@ -112,49 +119,44 @@ class _Radix:
         """
         pair = (s[: self.e] + self._pad, t[: self.e] + self._pad)
         index = 0
-        for side, gather, terms in self.groups:
+        for side, gather, terms, _ in self.groups:
             index += terms[gather.translate(pair[side])]
         return index
 
     def unrank(self, index):
-        """The pair of 0-based ``e``-byte tables at a stream index."""
+        """The pair of 0-based ``e``-byte tables at a stream index: one
+        ``divmod`` per rank group, one ``bytes.maketrans`` per side."""
         if not 0 <= index < self.total:
             raise ValueError(f"index {index} outside [0, {self.total})")
-        pair = list(self._base)
-        for radix, side, tables in self._digits:
-            index, digit = divmod(index, radix)
-            pair[side] = pair[side].translate(tables[digit])
-        return pair[0], pair[1]
+        images = [b"", b""]
+        for side, _, _, keys in self.groups:
+            index, digit = divmod(index, len(keys))
+            images[side] += keys[digit]
+        (black, fixed_black), (white, fixed_white) = self._sides
+        e = self.e
+        return (
+            bytes.maketrans(black, fixed_black + images[0])[:e],
+            bytes.maketrans(white, fixed_white + images[1])[:e],
+        )
 
 
-def _place(opts, radix):
-    """One vertex's rank term and its rotations as 256-byte tables.
-
-    The term is (labels, images -> digit * radix): the vertex's 0-based
-    labels, and their images under each rotation, as bytes.
-    """
-    labels = bytes(label - 1 for label in sorted(opts[0]))
-    terms = {}
-    tables = []
-    for digit, cycle in enumerate(opts):
-        table = bytearray(_IDENT256)
-        _apply_cycle(table, cycle)
-        table = bytes(table)
-        terms[labels.translate(table)] = digit * radix
-        tables.append(table)
-    return (labels, terms), tables
+def _rotations(labels):
+    """The images of a vertex's sorted 0-based ``labels`` under each of its
+    rotations, in the pinned order, as bytes."""
+    return [
+        labels.translate(bytes.maketrans(bytes(cycle), bytes(cycle[1:] + cycle[:1])))
+        for cycle in _cycles_at(labels)
+    ]
 
 
-def _group(places):
-    """The gather bytes and summed-term dict of a run of vertex terms."""
-    (gather, terms), *rest = places
-    for labels, place in rest:
+def _group(side, run, base):
+    """The rank group of a run of (labels, rotations), the first vertex's
+    digit varying fastest; ``base`` is the stream radix where it starts."""
+    gather, keys = b"", [b""]
+    for labels, rotations in run:
         gather += labels
-        terms = {
-            key + images: rank + term
-            for key, rank in terms.items() for images, term in place.items()
-        }
-    return gather, terms
+        keys = [key + images for images in rotations for key in keys]
+    return side, gather, {key: digit * base for digit, key in enumerate(keys)}, keys
 
 
 class CycleText:
@@ -228,11 +230,6 @@ def _walk(labels, images):
     if len(cycle) != len(labels):
         return None
     return "(" + ",".join([_LABELS[x] for x in cycle]) + ")"
-
-
-def _apply_cycle(table, cycle):
-    for i, label in enumerate(cycle):
-        table[label - 1] = cycle[(i + 1) % len(cycle)] - 1
 
 
 def _pair_from_tables(s, t, graph):

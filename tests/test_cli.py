@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from dessins.cli import main
 
 from conftest import fixture_path
@@ -142,6 +144,20 @@ def test_classify_unreadable_file():
     code, _, err = run(["classify", fixture_path("no_such_file.bg")])
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"],
+    ["analyze", "--sigma", "()", "--tau", "()"],
+    ["autgroup"],
+    ["genus-range"],
+])
+def test_file_that_is_not_utf8_is_refused_as_bad_input(tmp_path, argv):
+    bad = tmp_path / "bad.bg"
+    bad.write_bytes(b"black a\nwhite b\nedge a b \xff\n")
+    code, out, err = run([argv[0], str(bad), *argv[1:]])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_classify_malformed_file(tmp_path):

@@ -19,7 +19,7 @@ from dessins import (
     parse_plain,
 )
 from dessins import graphgenus
-from dessins.rotation import RotationPair, membership_failure
+from dessins.rotation import RotationPair, _cycles_at, membership_failure
 
 from conftest import FIXTURES, load_plain
 
@@ -244,6 +244,30 @@ def test_star_histogram_builds_no_links():
     hist, peak = traced_histogram(star)
     assert hist == {0: 5040}
     assert peak < 2**20
+
+
+def reference_links(clean, v):
+    """The links tau(d) -> sigma(d) of each local rotation at ``v``, built
+    from its cycle, with tau built from the white vertices' label pairs."""
+    tau = list(range(clean.e))
+    for a, b in clean.white_labels.values():
+        tau[a - 1], tau[b - 1] = b - 1, a - 1
+    links = []
+    for cycle in _cycles_at(clean.black_labels[v]):
+        darts = [label - 1 for label in cycle]
+        links.append(tuple((tau[d], s) for d, s in zip(darts, darts[1:] + darts[:1])))
+    return links
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(FIXTURES) if f.endswith(".g")))
+def test_links_equal_the_links_built_from_cycles(name):
+    sub = graphgenus._Subdivision(load_plain(name))
+    assert len(sub.links) == len(sub.clean.blacks)
+    for v, links in zip(sub.clean.blacks, sub.links):
+        reference = reference_links(sub.clean, v)
+        assert len(links) == len(reference)
+        for new, old in zip(links, reference):
+            assert set(new) == set(old)
 
 
 # the oracle visits systems one by one, which K6's 24^6 put out of reach;

@@ -11,8 +11,15 @@ from dessins import (
     parse_cycles,
     group_from_generators,
 )
-from dessins.perm import Permutation
-from dessins.rotation import CycleText, _Radix, chunk_bounds, membership_failure
+from dessins.perm import _IDENT256, Permutation
+from dessins.rotation import (
+    CycleText,
+    _cycles_at,
+    _Radix,
+    _rotations,
+    chunk_bounds,
+    membership_failure,
+)
 
 import corpus
 from conftest import EVERY_BG_REPORT, load_bipartite, star_text
@@ -166,14 +173,14 @@ def test_rank_inverts_unrank_across_a_group_split():
     # 6^5 = 7776 rotations on the black side: 6^4 fit under the group cap,
     # the fifth vertex opens a second group
     radix = _Radix(load_bipartite("k5_clean.bg"))
-    assert [len(terms) for _, _, terms in radix.groups] == [1296, 6]
+    assert [len(keys) for *_, keys in radix.groups] == [1296, 6]
     assert all(radix.rank(*radix.unrank(i)) == i for i in range(radix.total))
 
 
 def test_rank_inverts_unrank_above_the_group_cap():
     # 7! = 5040 rotations at the centre of an 8-leaf star: a group of its own
     radix = _Radix(parse_bipartite(star_text(8)))
-    assert [len(terms) for _, _, terms in radix.groups] == [5040]
+    assert [len(keys) for *_, keys in radix.groups] == [5040]
     assert all(radix.rank(*radix.unrank(i)) == i for i in range(radix.total))
 
 
@@ -208,6 +215,79 @@ def test_radix_memory_below_the_tuple_keyed_radix():
         tracemalloc.stop()
     assert radix.total == 40320
     assert size < 18.4 * 2**20
+
+
+def test_radix_memory_without_per_rotation_tables():
+    # the same spider; with a 256-byte unrank table per rotation beside its
+    # rank dict, the radix held 15.75 MiB
+    graph = parse_bipartite(spider_text(range(1, 10)))
+    tracemalloc.start()
+    try:
+        radix = _Radix(graph)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert radix.total == 40320
+    assert size < 8 * 2**20
+
+
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_rotations_are_the_images_of_the_local_rotation_cycles(degree):
+    g = parse_bipartite(star_text(degree))
+    labels = bytes(label - 1 for label in g.black_labels["c"])
+    expected = []
+    for rot in local_rotations(g, "c"):
+        step = dict(zip(rot.cycle, rot.cycle[1:] + rot.cycle[:1]))
+        expected.append(bytes(step[label + 1] - 1 for label in labels))
+    assert _rotations(labels) == expected
+
+
+def reference_unrank(graph):
+    """The unrank that applied one 256-byte table per vertex with a choice
+    of rotation to a base pair holding the vertices without one."""
+
+    def apply_cycle(table, cycle):
+        for i, label in enumerate(cycle):
+            table[label - 1] = cycle[(i + 1) % len(cycle)] - 1
+
+    base = (bytearray(range(graph.e)), bytearray(range(graph.e)))
+    digits = []
+    for side, labels in enumerate((graph.black_labels, graph.white_labels)):
+        for v in (graph.blacks, graph.whites)[side]:
+            opts = _cycles_at(labels[v])
+            if len(opts) == 1:
+                apply_cycle(base[side], opts[0])
+                continue
+            tables = []
+            for cycle in opts:
+                table = bytearray(_IDENT256)
+                apply_cycle(table, cycle)
+                tables.append(bytes(table))
+            digits.append((len(opts), side, tables))
+
+    def unrank(index):
+        pair = [bytes(b) for b in base]
+        for radix, side, tables in digits:
+            index, digit = divmod(index, radix)
+            pair[side] = pair[side].translate(tables[digit])
+        return pair[0], pair[1]
+
+    return unrank
+
+
+# a choice of rotation at a and w only: vertices of degree 3 beside
+# vertices of degree 1 and 2 on each side
+MIXED = "black a b c\nwhite w x y\n" + "".join(
+    f"edge {b} {w}\n" for b, w in ("aw", "bw", "cw", "ax", "ay", "by")
+)
+
+
+@pytest.mark.parametrize("name", ["k5_clean.bg", "star8", "double_prism.bg", "k33.bg", "mixed"])
+def test_unrank_equals_the_per_vertex_tables(name):
+    texts = {"star8": star_text(8), "mixed": MIXED}
+    graph = parse_bipartite(texts[name]) if name in texts else load_bipartite(name)
+    radix, unrank = _Radix(graph), reference_unrank(graph)
+    assert all(radix.unrank(i) == unrank(i) for i in range(radix.total))
 
 
 def test_vertex_cycle_text_equals_format_cycles_on_every_record(request):
