@@ -8,7 +8,7 @@ formula g = 1 + (e - alpha - beta - gamma) / 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import factorial, gcd
 
 from .bgraph import _format_passport
 from .perm import compose, cycle_type
@@ -81,6 +81,15 @@ def invariants(pair, with_monodromy=True, *, passport=None):
 
     An odd sigma- or tau-cycle, a fixed point included, cannot alternate
     two face colours, so the pair is not dualizable.
+
+    A dualizable pair's monodromy group gets the ``order_bound``
+    2 ((e/2)!)^2, so for e >= 4 its order skips the giant certificate, and
+    the build of a group that is the whole wreath product stops there.
+    Proof: ``is_dualizable`` colours the labels so that sigma and tau both
+    flip the colour, so each maps one colour class injectively into the
+    other, and the two classes have e/2 labels each.  Every element of
+    <sigma, tau> keeps or swaps the two classes as a word of even or odd
+    length, so the group lies in S_(e/2) wr S_2, of order 2 ((e/2)!)^2.
     """
     sigma, tau = pair.sigma, pair.tau
     e = sigma.degree
@@ -102,9 +111,11 @@ def invariants(pair, with_monodromy=True, *, passport=None):
     genus = 1 + euler // 2
     if genus < 0:
         raise AssertionError(f"negative genus {genus}")
+    dualizable = all(d % 2 == 0 for d in black + white) and is_dualizable(pair)
     order = fingerprint = regular = None
     if with_monodromy:
-        order = monodromy_group(pair).order()
+        bound = 2 * factorial(e // 2) ** 2 if dualizable else None
+        order = PermGroup([sigma, tau], order_bound=bound).order()
         # a permutation of e points with c cycles has parity e - c; the group
         # is transitive, so a point's stabilizer has index e
         odd = (e - alpha) % 2 + (e - beta) % 2
@@ -123,7 +134,7 @@ def invariants(pair, with_monodromy=True, *, passport=None):
         monodromy_fingerprint=fingerprint,
         regular=regular,
         uniform=len(set(black)) == 1 and len(set(white)) == 1 and len(set(faces)) == 1,
-        dualizable=all(d % 2 == 0 for d in black + white) and is_dualizable(pair),
+        dualizable=dualizable,
     )
 
 

@@ -257,21 +257,26 @@ def genus_range(plain, budget=DEFAULT_GENUS_BUDGET):
 def _fixing_order(plain, counts):
     """Vertex indices in the order their rotations are fixed: fewest
     rotations (``counts``) first, then most edges to the vertices already
-    fixed, then least index."""
+    fixed, then the earliest step at which a neighbour was fixed, then
+    least index.  The third key keeps the fixed vertices together, so few
+    open paths cross to the unfixed ones: on a ladder it fixes rung by
+    rung instead of sweeping one side first."""
     index = {v: i for i, v in enumerate(plain.vertices)}
     neighbours = [[] for _ in counts]
     for _, u, v in plain.edges:
         neighbours[index[u]].append(index[v])
         neighbours[index[v]].append(index[u])
     fixed_edges = [0] * len(counts)
+    first_step = [len(counts)] * len(counts)
     left = set(range(len(counts)))
     order = []
     while left:
-        v = min(left, key=lambda v: (counts[v], -fixed_edges[v], v))
+        v = min(left, key=lambda v: (counts[v], -fixed_edges[v], first_step[v], v))
         left.remove(v)
-        order.append(v)
         for w in neighbours[v]:
             fixed_edges[w] += 1
+            first_step[w] = min(first_step[w], len(order))
+        order.append(v)
     return order
 
 

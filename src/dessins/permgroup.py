@@ -144,6 +144,19 @@ class PermGroup:
     generator, so the base, the transversals and the ``elements`` order
     are those of the full verification.  A bound that is never reached
     lets the verification run to the end, giving the true order.
+
+    The verification strips each Schreier generator at most once per level
+    until it fails, though a new strong generator makes it rescan a level
+    from its first point.  Proof that skipping the ones already stripped
+    to the identity changes nothing: whenever level i is scanned, the
+    deeper levels are a complete BSGS of H_(i+1), since the scan goes
+    bottom-up and a residue registered down to level j sends it back to
+    level j.  A Schreier generator that stripped to the identity is a
+    product of transversal elements of the deeper levels, so it lies in
+    H_(i+1), which only grows, and a later strip through a complete BSGS
+    of H_(i+1) ends at the identity again.  So the first generator that
+    fails, its residue, and with them every base point, strong generator
+    and transversal are those of the scan without the skip.
     """
 
     def __init__(self, generators, degree=None, order_bound=None):
@@ -170,11 +183,7 @@ class PermGroup:
             return
         degree = self.degree
         ident = _IDENT256
-        iprefix = ident[:degree]
         levels = []
-
-        def is_ident(t):
-            return t[:degree] == iprefix
 
         def smallest_moved(t):
             for i in range(degree):
@@ -210,7 +219,7 @@ class PermGroup:
 
         # first occurrences, in order, by hashing the tables
         gens0 = [t for t in dict.fromkeys(g._table for g in self.generators)
-                 if not is_ident(t)]
+                 if t != ident]
         for t in gens0:
             if all(t[lv.base] == lv.base for lv in levels):
                 levels.append(_Level(smallest_moved(t)))
@@ -226,26 +235,34 @@ class PermGroup:
         # bottom-up verification: at each level every Schreier generator must
         # strip through the (already complete) deeper levels; residues become
         # strong generators exactly at the levels they fix into.  Reaching
-        # the order bound proves the rest would add none (class docstring).
+        # the order bound proves the rest would add none, and a Schreier
+        # generator once stripped to the identity at a level would strip
+        # there again (class docstring), so ``proven`` skips it.
+        proven = [set() for _ in levels]
+        order = prod(len(lv.orbit) for lv in levels)
         i = len(levels) - 1
-        while i >= 0 and prod(len(lv.orbit) for lv in levels) != self._order_bound:
+        while i >= 0 and order != self._order_bound:
             lv = levels[i]
+            known = proven[i]
             registered = None
             for pt in sorted(lv.orbit):
                 u, _ = lv.orbit[pt]
                 for s in lv.gens:
                     _, w_inv = lv.orbit[s[pt]]
                     sg = u.translate(s).translate(w_inv)
-                    if is_ident(sg):
+                    if sg == ident or sg in known:
                         continue
                     residue, j = strip(sg, i + 1)
-                    if is_ident(residue):
+                    if residue == ident:
+                        known.add(sg)
                         continue
                     if j == len(levels):
                         levels.append(_Level(smallest_moved(residue)))
+                        proven.append(set())
                     for l in range(i + 1, j + 1):
                         levels[l].gens.append(residue)
                         update_orbit(l)
+                    order = prod(len(lv.orbit) for lv in levels)
                     registered = j
                     break
                 if registered is not None:
@@ -253,7 +270,7 @@ class PermGroup:
             i = registered if registered is not None else i - 1
 
         self._levels = levels
-        self._order = prod(len(lv.orbit) for lv in levels)
+        self._order = order
 
     # -- queries ------------------------------------------------------------
 

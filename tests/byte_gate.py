@@ -7,7 +7,8 @@ admits its 24^6 rotation systems; ``autgroup`` on every ``.bg`` fixture; ``class
 719 generators and 5 listed stabilizer elements pin the automorphism
 backtracker and the stabilizer chain on a dense group, and on the 6-edge
 bundle, whose 14400 pairs under |G| = 720 pin the census on a dense group
-with one rank group per side; ``analyze`` on the
+with one rank group per side, and on the double prism, whose 1042 monodromy
+orders pin the Schreier-Sims builds and the giant certificate; ``analyze`` on the
 first three records of each small fixture, on one pair that is not a
 rotation system of its graph, and on three spellings of k33's first record
 that only the character walk of ``parse_cycles`` reads (spaced, a label past
@@ -97,6 +98,9 @@ def cases(threads=1):
     argv = ["classify", os.path.join(FIXTURES, "bundle6.bg"), "--emit", "json",
             "--threads", str(threads)]
     yield "classify bundle6.bg --emit json", lambda argv=argv: _cli(argv)
+    argv = ["classify", os.path.join(FIXTURES, "double_prism.bg"), "--emit", "json",
+            "--threads", str(threads)]
+    yield "classify double_prism.bg --emit json", lambda argv=argv: _cli(argv)
     for name in PLAIN:
         argv = ["genus-range", os.path.join(FIXTURES, name + ".g"), "--histogram"]
         yield f"genus-range {name}.g --histogram", lambda argv=argv: _cli(argv)

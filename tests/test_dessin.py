@@ -1,4 +1,6 @@
+import os
 import random
+from math import factorial
 
 import pytest
 
@@ -15,12 +17,15 @@ from dessins import (
     parse_cycles,
     wilson,
     NonTransitiveError,
+    PermGroup,
     identity,
 )
+import dessins.dessin as dessin_module
+import dessins.permgroup as permgroup_module
 from dessins.rotation import RotationPair, _Radix, _pair_from_tables, membership_failure
 
 import corpus
-from conftest import load_bipartite
+from conftest import FIXTURES, load_bipartite
 
 
 def P(s, n):
@@ -278,3 +283,75 @@ def test_fingerprint_odd_generators(k33):
     assert fp.odd_generators == 0  # 3-cycles are even
     assert fp.all_generators_even
     assert fp.order == 9
+
+
+# -- the wreath-product bound on dualizable pairs ----------------------------------
+
+def wreath_order(e):
+    """|S_(e/2) wr S_2|, the bound on a dualizable pair's monodromy order."""
+    return 2 * factorial(e // 2) ** 2
+
+
+@pytest.mark.parametrize(
+    "name", sorted(f for f in os.listdir(FIXTURES) if f.endswith(".bg")))
+def test_wreath_bound_keeps_the_order_of_every_dualizable_record(name):
+    report = classify(load_bipartite(name), with_monodromy=False)
+    bound = wreath_order(report.graph.e)
+    for rec in report.records:
+        pair = rec.representative
+        if is_dualizable(pair):
+            gens = [pair.sigma, pair.tau]
+            order = PermGroup(gens).order()
+            assert PermGroup(gens, order_bound=bound).order() == order <= bound
+            assert invariants(pair).monodromy_order == order
+
+
+def test_wreath_bounded_orders_against_sympy(k5_report, dp_report):
+    sympy = pytest.importorskip("sympy.combinatorics")
+    records = [rec for rec in k5_report.records if rec.invariants.dualizable]
+    records += random.Random(23).sample(
+        [rec for rec in dp_report.records if rec.invariants.dualizable], 8)
+    for rec in records:
+        gens = [rec.representative.sigma, rec.representative.tau]
+        theirs = sympy.PermutationGroup(
+            [sympy.Permutation([x - 1 for x in g.images]) for g in gens]).order()
+        assert rec.invariants.monodromy_order == theirs
+
+
+def test_dualizable_pairs_get_the_wreath_bound(monkeypatch, k5_report, dp_report):
+    bounds = []
+
+    class Recorded(PermGroup):
+        def __init__(self, generators, degree=None, order_bound=None):
+            bounds.append(order_bound)
+            super().__init__(generators, degree, order_bound)
+
+    monkeypatch.setattr(dessin_module, "PermGroup", Recorded)
+    for report in (k5_report, dp_report):
+        passport = report.graph.passport()
+        for rec in report.records:
+            bounds.clear()
+            invariants(rec.representative, passport=passport)
+            assert bounds == [wreath_order(report.graph.e) if rec.invariants.dualizable else None]
+
+
+def test_dualizable_invariants_without_the_giant_certificate(monkeypatch, k5_report, dp_report):
+    def refuse(group):
+        raise AssertionError("certificate tried")
+
+    monkeypatch.setattr(permgroup_module, "_jordan_order", refuse)
+    dualizable = 0
+    for report in (k5_report, dp_report):
+        for rec in report.records:
+            if rec.invariants.dualizable:
+                dualizable += 1
+                assert invariants(rec.representative) == rec.invariants
+    assert dualizable == 4 + 38
+
+
+def test_k5_dualizable_groups_are_the_whole_wreath_product(k5_report):
+    # three groups are the whole wreath product, so their builds stop at
+    # the bound once the basic orbits multiply to 2 (10!)^2
+    orders = sorted(rec.invariants.monodromy_order for rec in k5_report.records
+                    if rec.invariants.dualizable)
+    assert orders == [1000] + [26336378880000] * 3 == [1000] + [wreath_order(20)] * 3

@@ -1,6 +1,6 @@
 import os
 import random
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -14,7 +14,8 @@ from dessins import (
     identity,
     parse_cycles,
 )
-from dessins.perm import Permutation, _IDENT256, random_permutation
+from dessins.dessin import is_dualizable
+from dessins.perm import Permutation, _IDENT256, _invert, random_permutation
 from dessins.permgroup import (
     CERTIFICATE_SLOTS,
     CERTIFICATE_WORDS,
@@ -451,6 +452,7 @@ def test_order_bound_keeps_the_chain_of_every_theta(name):
     assert bounded.order() == free.order() == group.group_order
     assert chain(bounded) == chain(free) == chain(group.theta)
     assert list(bounded.elements()) == list(free.elements())
+    assert_chain_of_reference(free)
 
 
 def test_order_bound_keeps_the_chain_of_stabilizers(dp_report):
@@ -463,6 +465,7 @@ def test_order_bound_keeps_the_chain_of_stabilizers(dp_report):
         assert bounded.order() == free.order() == rec.aut_order
         assert chain(bounded) == chain(free)
         assert list(bounded.elements()) == list(free.elements())
+        assert_chain_of_reference(free)
 
 
 def test_order_bound_keeps_the_chain_of_random_groups():
@@ -498,3 +501,131 @@ def test_order_bound_below_the_giants_skips_the_certificate(monkeypatch):
     for bound in (None, 20160, 40320):  # A_8 fits the bound
         with pytest.raises(AssertionError, match="certificate tried"):
             PermGroup(dihedral, order_bound=bound).order()
+
+
+# -- the verification without the memo of proven Schreier generators -----------
+
+def reference_group(gens, degree):
+    """The group with the levels of the verification that strips every
+    Schreier generator again on each scan of its level, as ``_build`` did
+    before it skipped the ones proven; the reference for its chains."""
+    ident = _IDENT256
+    iprefix = ident[:degree]
+    levels = []
+
+    def is_ident(t):
+        return t[:degree] == iprefix
+
+    def smallest_moved(t):
+        return next(i for i in range(degree) if t[i] != i)
+
+    def update_orbit(level):
+        lv = levels[level]
+        lv.orbit.clear()
+        lv.orbit[lv.base] = (ident, ident)
+        queue = [lv.base]
+        qi = 0
+        while qi < len(queue):
+            pt = queue[qi]
+            qi += 1
+            u, _ = lv.orbit[pt]
+            for s in lv.gens:
+                np = s[pt]
+                if np not in lv.orbit:
+                    v = u.translate(s)
+                    lv.orbit[np] = (v, _invert(v, degree))
+                    queue.append(np)
+
+    def strip(t, start):
+        for j in range(start, len(levels)):
+            lv = levels[j]
+            entry = lv.orbit.get(t[lv.base])
+            if entry is None:
+                return t, j
+            t = t.translate(entry[1])
+        return t, len(levels)
+
+    gens0 = [t for t in dict.fromkeys(g._table for g in gens) if not is_ident(t)]
+    for t in gens0:
+        if all(t[lv.base] == lv.base for lv in levels):
+            levels.append(permgroup_module._Level(smallest_moved(t)))
+    for t in gens0:
+        for lv in levels:
+            lv.gens.append(t)
+            if t[lv.base] != lv.base:
+                break
+    for i in range(len(levels)):
+        update_orbit(i)
+
+    i = len(levels) - 1
+    while i >= 0:
+        lv = levels[i]
+        registered = None
+        for pt in sorted(lv.orbit):
+            u, _ = lv.orbit[pt]
+            for s in lv.gens:
+                _, w_inv = lv.orbit[s[pt]]
+                sg = u.translate(s).translate(w_inv)
+                if is_ident(sg):
+                    continue
+                residue, j = strip(sg, i + 1)
+                if is_ident(residue):
+                    continue
+                if j == len(levels):
+                    levels.append(permgroup_module._Level(smallest_moved(residue)))
+                for l in range(i + 1, j + 1):
+                    levels[l].gens.append(residue)
+                    update_orbit(l)
+                registered = j
+                break
+            if registered is not None:
+                break
+        i = registered if registered is not None else i - 1
+    group = PermGroup(gens, degree=degree)
+    group._levels, group._order = levels, prod(len(lv.orbit) for lv in levels)
+    return group
+
+
+# groups up to this order also compare their element streams
+LISTED_ORDER = 10**4
+
+
+def assert_chain_of_reference(group):
+    """``group``'s chain, order and elements equal the reference's."""
+    reference = reference_group(group.generators, group.degree)
+    assert chain(group) == chain(reference)
+    assert group._order == reference._order
+    if reference._order <= LISTED_ORDER:
+        assert list(group.elements()) == list(reference.elements())
+
+
+def check_monodromy_chains(records):
+    for rec in records:
+        pair = rec.representative
+        gens, e = [pair.sigma, pair.tau], pair.sigma.degree
+        free = PermGroup(gens)
+        assert_chain_of_reference(free)
+        if is_dualizable(pair):
+            bounded = PermGroup(gens, order_bound=2 * factorial(e // 2) ** 2)
+            assert chain(bounded) == chain(free)
+        if rec.invariants.monodromy_order is not None:
+            assert free.order() == rec.invariants.monodromy_order
+
+
+def test_monodromy_chains_equal_the_reference(a4_report, k33_report, k5_report):
+    for report in (a4_report, k33_report, k5_report):
+        check_monodromy_chains(report.records)
+
+
+def test_monodromy_chains_equal_the_reference_on_samples(dp_report, frucht_light_report):
+    rng = random.Random(19)
+    check_monodromy_chains(rng.sample(dp_report.records, 40))
+    check_monodromy_chains(rng.sample(frucht_light_report.records, 6))
+
+
+def test_random_group_chains_equal_the_reference():
+    rng = random.Random(67)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        gens = [random_permutation(n, rng) for _ in range(rng.randint(1, 3))]
+        assert_chain_of_reference(PermGroup(gens))
