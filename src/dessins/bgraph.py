@@ -1,9 +1,10 @@
 """Bipartite multigraphs with labeled edges, and their edge-acting automorphisms.
 
 The color-preserving automorphism search is a partition-refinement
-backtracker over vertices; each vertex automorphism extends to a unique
-label-order-preserving edge bijection, and parallel edge classes contribute
-generators realizing the full symmetric group on each class.
+backtracker over vertices; each leaf emits its vertex automorphism as the
+unique label-order-preserving edge bijection, in 0-based image bytes, and
+parallel edge classes contribute generators realizing the full symmetric
+group on each class.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from math import factorial
 
-from .perm import MAX_DEGREE, Permutation
+from .perm import _IDENT256, MAX_DEGREE, Permutation
 from .permgroup import PermGroup
 
 
@@ -294,11 +295,11 @@ def cleanify(plain):
 class EdgeActionGroup:
     """The color-preserving automorphisms of a bipartite graph, acting on labels.
 
-    ``theta`` is generated by the vertex automorphisms other than the
-    identity, in backtracking order, then by a swap and a cycle of each
-    parallel class, classes sorted by labels.  ``group_order`` is the group
-    order counted on the vertex side (vertex automorphisms times
-    parallel-class permutations), asserted equal to ``theta.order()``.
+    ``theta`` is generated by the label actions of the vertex automorphisms
+    other than the identity, in backtracking order, then by a swap and a
+    cycle of each parallel class, classes sorted by labels.  ``group_order``
+    is the group order counted on the vertex side (vertex automorphisms
+    times parallel-class permutations), asserted equal to ``theta.order()``.
 
     ``group_order`` is also ``theta``'s ``order_bound``.  The automorphisms
     of the multigraph act faithfully on the labels: every vertex lies on an
@@ -315,13 +316,23 @@ class EdgeActionGroup:
     group_order: int
 
 
+def _pair_labels(graph):
+    """Each (black, white) pair, keyed ``(("b", b), ("w", w))`` as the search
+    names vertices, to its sorted 0-based labels as bytes."""
+    pairs = {}
+    for label, b, w in sorted(graph.edges):
+        pairs.setdefault((("b", b), ("w", w)), bytearray()).append(label - 1)
+    return {pair: bytes(labels) for pair, labels in pairs.items()}
+
+
 def _vertex_automorphisms(graph):
     """All color-preserving vertex automorphisms, by refinement + backtracking.
 
-    Each comes back as the backtracker's map, a dict from ``("b", v)`` and
-    ``("w", v)`` to the image vertex in the same form.  Every traversal
-    below runs over sorted structures so the result order is independent of
-    hash seeds, run to run.
+    Each comes back as its action on the labels, ``graph.e`` 0-based image
+    bytes: it moves the sorted labels of every (b, w) pair onto those of
+    the image pair, in order.  Every traversal below runs over sorted
+    structures so the result order is independent of hash seeds, run to
+    run.
 
     A candidate v for u must keep the edge count to every placed vertex x,
     ``adj[u][x] == adj[v][fwd[x]]`` (absent is 0).  The check reads only u's
@@ -376,6 +387,9 @@ def _vertex_automorphisms(graph):
         placed.add(pick)
         remaining.remove(pick)
 
+    pairs = _pair_labels(graph)
+    source = b"".join(pairs.values())
+    sizes = list(map(len, pairs.values()))
     results = []
     fwd, back = {}, {}
 
@@ -393,7 +407,10 @@ def _vertex_automorphisms(graph):
 
     def extend(i):
         if i == len(order):
-            results.append(dict(fwd))
+            targets = [pairs[fwd[b], fwd[w]] for b, w in pairs]
+            if list(map(len, targets)) != sizes:
+                raise GraphStructureError("vertex map does not preserve multiplicities")
+            results.append(bytes.maketrans(source, b"".join(targets))[: graph.e])
             return
         u = order[i]
         images = [(fwd[x], k) for x, k in adj[u].items() if x in fwd]
@@ -415,41 +432,19 @@ def automorphism_group(graph):
     """Full group of color-preserving automorphisms with its action on labels."""
     _check_label_count(graph.e)
     autos = _vertex_automorphisms(graph)
-    by_pair = {}
-    for label, b, w in graph.edges:
-        by_pair.setdefault((b, w), []).append(label)
-    for ls in by_pair.values():
-        ls.sort()
-
-    # each vertex automorphism moves the sorted labels of every (b, w) pair
-    # onto those of its image pair, in order
-    ident = list(range(1, graph.e + 1))
-    gens = []
-    for fwd in autos:
-        images = [0] * graph.e
-        for (b, w), ls in by_pair.items():
-            target = by_pair[(fwd[("b", b)][1], fwd[("w", w)][1])]
-            if len(target) != len(ls):
-                raise GraphStructureError("vertex map does not preserve multiplicities")
-            for a, t in zip(ls, target):
-                images[a - 1] = t
-        if images != ident:
-            gens.append(Permutation(images))
-    parallel = sorted(ls for ls in by_pair.values() if len(ls) > 1)
+    e = graph.e
+    ident = _IDENT256[:e]
+    gens = [Permutation._from_table(t, e) for t in autos if t != ident]
+    parallel = sorted(ls for ls in _pair_labels(graph).values() if len(ls) > 1)
     for ls in parallel:
-        swap = ident[:]
-        swap[ls[0] - 1], swap[ls[1] - 1] = ls[1], ls[0]
-        gens.append(Permutation(swap))
+        gens.append(Permutation._from_table(bytes.maketrans(ls[:2], ls[1::-1]), e))
         if len(ls) > 2:
-            cyc = ident[:]
-            for i, l in enumerate(ls):
-                cyc[l - 1] = ls[(i + 1) % len(ls)]
-            gens.append(Permutation(cyc))
+            gens.append(Permutation._from_table(bytes.maketrans(ls, ls[1:] + ls[:1]), e))
 
     vertex_count = len(autos)
     for ls in parallel:
         vertex_count *= factorial(len(ls))
-    theta = PermGroup(gens, degree=graph.e, order_bound=vertex_count)
+    theta = PermGroup(gens, degree=e, order_bound=vertex_count)
     if theta.order() != vertex_count:
         raise GraphStructureError(
             "edge action is not faithful: "

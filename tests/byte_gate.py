@@ -3,7 +3,9 @@
 The matrix covers ``dessins classify`` on the six small ``.bg`` fixtures in
 every ``--emit`` format, with and without ``--wilson 1,1``;
 ``genus-range --histogram`` on every ``.g`` fixture, K6 with a budget that
-admits its 24^6 rotation systems; ``autgroup`` on every ``.bg`` fixture; ``classify --emit json`` on the 6-leaf star, whose
+admits its 24^6 rotation systems; ``autgroup`` on every ``.bg`` fixture,
+the 6-edge bundle's pinning the swap and cycle of a parallel class;
+``classify --emit json`` on the 6-leaf star, whose
 719 generators and 5 listed stabilizer elements pin the automorphism
 backtracker and the stabilizer chain on a dense group, and on the 6-edge
 bundle, whose 14400 pairs under |G| = 720 pin the census on a dense group
@@ -40,7 +42,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 DIGESTS = os.path.join(os.path.dirname(__file__), "byte_digests.json")
 
 SMALL_BG = ("a4_clean", "c33", "d33", "k33", "k33_clean", "k5_clean")
-ALL_BG = SMALL_BG + ("double_prism", "frucht_clean", "k44", "star6")
+ALL_BG = SMALL_BG + ("bundle6", "double_prism", "frucht_clean", "k44", "star6")
 PLAIN = ("c3", "c5", "frucht", "k33", "k5")
 LIBRARY_JSON = ("frucht_clean", "double_prism")
 LIBRARY_TEXT = (("frucht_clean", "csv"), ("frucht_clean", "table"))

@@ -342,6 +342,22 @@ def test_large_automorphism_groups_within_memory(text, order):
     assert out == f"{order}\n"
 
 
+def test_automorphisms_of_a_large_star_held_as_label_bytes():
+    # the search keeps each of the 8-leaf star's 40320 automorphisms as its
+    # 8 label image bytes until theta takes the 40319 that are not the identity
+    import tracemalloc
+
+    graph = parse_bipartite(star_text(8))
+    tracemalloc.start()
+    try:
+        order = automorphism_group(graph).group_order
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert order == 40320
+    assert peak < 20 * 2**20
+
+
 def test_unreached_order_bound_still_refuses_an_unfaithful_count(monkeypatch):
     # each vertex automorphism listed twice doubles the bound theta is given;
     # its orbits never reach it, so the full verification finds |theta|
