@@ -107,10 +107,6 @@ class _Action:
         t = t[: self.e] + self.pad
         return [gi.translate(t).translate(g) for gi, g in self.elems]
 
-    def pair_images(self, s, t):
-        """The conjugates of the pair of tables (s, t), in element order."""
-        return list(zip(self.images(s), self.images(t)))
-
     def least(self, s, t):
         """The least conjugate of the pair of tables (s, t).
 
@@ -159,7 +155,7 @@ def stabilizer(pair, group):
     action = _Action(_theta(group).elements(), e)
     s, t = pair.sigma._table[:e], pair.tau._table[:e]
     # the generators are all the fixing elements, so their count is the order
-    count, generators = action.fixing(action.pair_images(s, t), (s, t))
+    count, generators = action.fixing(list(zip(action.images(s), action.images(t))), (s, t))
     return PermGroup(generators, degree=e, order_bound=count)
 
 
@@ -228,6 +224,7 @@ def _orbit_census(radix, action):
     under that rank until the orbit containing it arrives.
     """
     ranks_of = _ranker(radix, action)
+    ident = [g for _, g in action.elems].index(_IDENT256)
     e = action.e
     marked = bytearray(radix.total)
     census = {}
@@ -236,23 +233,24 @@ def _orbit_census(radix, action):
     index = 0
     while index >= 0:
         s, t = radix.unrank(index)
+        rep = action.least(s, t)
         try:
-            ranks = set(ranks_of(s, t))
+            images = list(ranks_of(*rep))
         except KeyError:
             raise InternalInvariantError(
                 f"a conjugate of pair {index} left the family"
             ) from None
+        ranks = set(images)
         for rank in ranks:
             if marked[rank]:
                 raise InternalInvariantError(f"pair {rank} lies in two orbits")
             marked[rank] = 1
         if not marked[index]:
             raise InternalInvariantError(f"pair {index} missing from its own orbit")
-        rep = action.least(s, t)
         if len(ranks) == len(action.elems):  # a free orbit: trivial stabilizer
             census[rep] = (len(ranks), 1, ())
         else:  # the stabilizer is read off rep's own conjugates
-            census[rep] = (len(ranks), *action.fixing(action.pair_images(*rep), rep))
+            census[rep] = (len(ranks), *action.fixing(images, images[ident]))
         claimed = pending.keys() & ranks
         if claimed:  # at most one: mirroring is an involution on orbits
             other = pending.pop(claimed.pop())
