@@ -297,9 +297,12 @@ class EdgeActionGroup:
 
     ``theta`` is generated by the label actions of the vertex automorphisms
     other than the identity, in backtracking order, then by a swap and a
-    cycle of each parallel class, classes sorted by labels.  ``group_order``
-    is the group order counted on the vertex side (vertex automorphisms
-    times parallel-class permutations), asserted equal to ``theta.order()``.
+    cycle of each parallel class, classes sorted by labels.  That order
+    reaches the output only through ``autgroup``, which prints the
+    generators: stabilizers are listed by table (``classify._Action``).
+    ``group_order`` is the group order counted on the vertex side (vertex
+    automorphisms times parallel-class permutations), asserted equal to
+    ``theta.order()``.
 
     ``group_order`` is also ``theta``'s ``order_bound``.  The automorphisms
     of the multigraph act faithfully on the labels: every vertex lies on an

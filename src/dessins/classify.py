@@ -6,18 +6,17 @@ the orbits of the edge-action group G.  The census is orderly orbit
 enumeration in the spirit of McKay, "Isomorph-free exhaustive generation"
 (J. Algorithms 1998): it keeps one mark per stream rank and jumps from
 each unmarked rank to the next (``bytearray.find``), unranking only the
-pair found there.  It ranks that pair's conjugates by every element of G
-and marks each rank, and takes the lexicographically least conjugate as
-the orbit's representative.  An orbit of |G| distinct ranks is free, with
-a trivial stabilizer; only the other orbits have the stabilizer, the
-dessin's orientation-preserving automorphism group, read off the
-representative's own conjugates.  Mirror partners come out of the same
-pass: each orbit ranks its mirrored first pair once, and the orbit that
-contains that rank is its partner.  The work is a scan of N bytes of
-marks, one unrank per orbit, orbits * |G| conjugate ranks at one dict
-lookup per rank group (``rotation._Radix``) each, |G| conjugates of sigma
-per orbit and of tau only where sigma's is least, plus 2|G| conjugates
-for each non-free orbit.
+pair found there.  It takes that pair's lexicographically least conjugate
+as the orbit's representative, ranks the representative's conjugates by
+every element of G and marks each rank.  An orbit of |G| distinct ranks is
+free, with a trivial stabilizer; only the other orbits have the
+stabilizer, the dessin's orientation-preserving automorphism group, read
+off those same ranks.  Mirror partners come out of the same pass: each
+orbit ranks its mirrored first pair once, and the orbit that contains that
+rank is its partner.  The work is a scan of N bytes of marks, one unrank
+per orbit, orbits * |G| conjugate ranks at one dict lookup per rank group
+(``rotation._Radix``) each, and |G| conjugates of sigma per orbit and of
+tau only where sigma's is least.
 
 The invariants are computed once per mirror class, on the orbit of the
 lesser representative, and shared with a chiral partner: a dessin and its
@@ -34,7 +33,7 @@ import os
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import compress, repeat
-from operator import add
+from operator import add, itemgetter
 
 from .bgraph import BipartiteGraph, EdgeActionGroup, _check_label_count, automorphism_group
 from .dessin import invariants, dualizable_oracle, wilson
@@ -88,7 +87,12 @@ class _Action:
 
     Each element is kept once, as the ``e`` image bytes of its inverse
     followed by its own 256-byte table, so one conjugate is
-    ``ginv.translate(t).translate(g)`` and is ``e`` bytes long.
+    ``ginv.translate(t).translate(g)`` and is ``e`` bytes long.  The
+    elements are listed in increasing order of their tables, whatever
+    order they arrive in, so each result that follows element order
+    depends on the group alone, not on its generating set.  The identity
+    comes first: any other table first differs from it at some i, where it
+    holds an image above i, the labels below i being taken.
     """
 
     __slots__ = ("e", "pad", "elems")
@@ -101,6 +105,7 @@ class _Action:
             if g.degree != e:
                 raise ValueError(f"degree mismatch: {e} != {g.degree}")
             self.elems.append((_invert(g._table, e)[:e], g._table))
+        self.elems.sort(key=itemgetter(1))
 
     def images(self, t):
         """The conjugates of one table (of at least ``e`` bytes), in element order."""
@@ -120,15 +125,15 @@ class _Action:
         return low, min(gi.translate(t).translate(g) for gi, g in chosen)
 
     def fixing(self, images, key):
-        """The stabilizer of ``key``, given its conjugates ``images``.
+        """The stabilizer of ``key``, given its conjugates ``images`` in
+        element order, so that ``key`` is ``images[0]``, its image by the
+        identity.
 
         Returns its order and its elements other than the identity, as
-        permutations in element order.
+        permutations in increasing order of their tables.
         """
         tables = [g for (_, g), image in zip(self.elems, images) if image == key]
-        return len(tables), tuple(
-            Permutation._from_table(g, self.e) for g in tables if g != _IDENT256
-        )
+        return len(tables), tuple(Permutation._from_table(g, self.e) for g in tables[1:])
 
 
 def _theta(group):
@@ -150,7 +155,12 @@ def canonical_form(pair, group):
 
 
 def stabilizer(pair, group):
-    """Elements of the edge-action group fixing the pair, as a group."""
+    """Elements of the edge-action group fixing the pair, as a group.
+
+    Its generators are all of those elements but the identity, in
+    increasing order of their tables (``_Action``), whatever generating
+    set the group was given by.
+    """
     e = pair.sigma.degree
     action = _Action(_theta(group).elements(), e)
     s, t = pair.sigma._table[:e], pair.tau._table[:e]
@@ -168,6 +178,8 @@ def _check_keeps_family(graph, theta):
     family is kept exactly when every generator maps each vertex's label
     set onto a label set of the same colour.  The census cannot see this at
     vertices with a single rotation, since ranks do not read their labels.
+    The census also relies on it to read stabilizers off ranks
+    (``_orbit_census``).
     """
     for labels in (graph.black_labels, graph.white_labels):
         # 0-based label bytes, so each image set is one translate
@@ -217,14 +229,22 @@ def _orbit_census(radix, action):
     """The orbits, and the mirror of each, keyed by representative tables.
 
     Returns representative -> (orbit length, stabilizer order, the
-    stabilizer's elements other than the identity), and representative ->
-    the representative of its mirror orbit, None if that left the family.
-    Mirroring commutes with conjugation, so it is an involution on orbits:
-    each orbit ranks its mirrored first pair once and waits in ``pending``
-    under that rank until the orbit containing it arrives.
+    stabilizer's elements other than the identity, in increasing order of
+    their tables), and representative -> the representative of its mirror
+    orbit, None if that left the family.  Mirroring commutes with
+    conjugation, so it is an involution on orbits: each orbit ranks its
+    mirrored first pair once and waits in ``pending`` under that rank until
+    the orbit containing it arrives.
+
+    The stabilizer of a representative is read off its conjugates' ranks,
+    in element order, whose first is its own rank (the identity comes
+    first).  A conjugate equals the representative exactly when their
+    ranks are equal: ``_check_keeps_family`` keeps every conjugate inside
+    the family, and the rank is injective on the family: it reads the
+    rotation at every vertex with a choice of rotation, and at every other
+    vertex all pairs of the family have the same one.
     """
     ranks_of = _ranker(radix, action)
-    ident = [g for _, g in action.elems].index(_IDENT256)
     e = action.e
     marked = bytearray(radix.total)
     census = {}
@@ -249,8 +269,8 @@ def _orbit_census(radix, action):
             raise InternalInvariantError(f"pair {index} missing from its own orbit")
         if len(ranks) == len(action.elems):  # a free orbit: trivial stabilizer
             census[rep] = (len(ranks), 1, ())
-        else:  # the stabilizer is read off rep's own conjugates
-            census[rep] = (len(ranks), *action.fixing(images, images[ident]))
+        else:  # the stabilizer is read off the ranks of rep's conjugates
+            census[rep] = (len(ranks), *action.fixing(images, images[0]))
         claimed = pending.keys() & ranks
         if claimed:  # at most one: mirroring is an involution on orbits
             other = pending.pop(claimed.pop())

@@ -186,8 +186,8 @@ def parse_cycles(text, degree):
         pos += 1
         cyc = []
         pos = skip_ws(pos)
-        if pos < n and text[pos] == ")" and not cyc:
-            if saw_cycle or cyc:
+        if pos < n and text[pos] == ")":
+            if saw_cycle:
                 raise CycleParseError("empty cycle", pos)
             # "()" must stand alone as the identity
             pos = skip_ws(pos + 1)

@@ -6,8 +6,8 @@ every ``--emit`` format, with and without ``--wilson 1,1``;
 admits its 24^6 rotation systems; ``autgroup`` on every ``.bg`` fixture,
 the 6-edge bundle's pinning the swap and cycle of a parallel class;
 ``classify --emit json`` on the 6-leaf star, whose
-719 generators and 5 listed stabilizer elements pin the automorphism
-backtracker and the stabilizer chain on a dense group, and on the 6-edge
+5 listed stabilizer elements pin their order by table on a dense group
+(``autgroup star6.bg`` pins its 719 generators), and on the 6-edge
 bundle, whose 14400 pairs under |G| = 720 pin the census on a dense group
 with one rank group per side, and on the double prism, whose 1042 monodromy
 orders pin the Schreier-Sims builds and the giant certificate; ``analyze`` on the

@@ -1,4 +1,5 @@
 import importlib
+import io
 import tracemalloc
 
 import pytest
@@ -15,6 +16,7 @@ from dessins import (
     conjugate,
     cycle_type,
     enumerate_pairs,
+    format_cycles,
     group_from_generators,
     invariants,
     local_rotations,
@@ -28,10 +30,11 @@ from dessins import (
     InternalInvariantError,
 )
 from dessins.classify import _Action
+from dessins.cli import main
 from dessins.rotation import RotationPair, _Radix, membership_failure
 
 import corpus
-from conftest import load_bipartite, record_for, run_capped, star_text
+from conftest import fixture_path, load_bipartite, record_for, run_capped, star_text
 
 
 def P(s, n):
@@ -312,6 +315,59 @@ def test_reports_identical_across_thread_counts():
     graph = load_bipartite("double_prism.bg")
     solo = serialize_report(classify(graph, threads=1), "json")
     assert serialize_report(classify(graph, threads=2), "json") == solo
+
+
+# (fixture, with monodromy): the six small graphs, two dense groups, and
+# the double prism (125 non-free orbits) without monodromy
+STABILIZER_ORDER_CASES = [
+    *((name, True) for name in ("a4_clean", "c33", "d33", "k33", "k33_clean", "k5_clean")),
+    ("bundle6", True), ("star6", True), ("double_prism", False),
+]
+
+
+def greedy_generators(theta):
+    """theta's generators, each kept only if the kept ones do not yet generate it."""
+    kept, group = [], PermGroup([], degree=theta.degree)
+    for g in theta.generators:
+        if not group.contains(g):
+            kept.append(g)
+            group = PermGroup(kept, degree=theta.degree)
+    return kept
+
+
+@pytest.mark.parametrize("name, with_monodromy", STABILIZER_ORDER_CASES)
+def test_json_does_not_depend_on_the_generating_set(name, with_monodromy):
+    # each stabilizer is listed by table, so a greedy generating set (4 of
+    # star6's 719) or the generators reversed give the same bytes
+    graph = load_bipartite(name + ".bg")
+    theta = automorphism_group(graph).theta
+    full = serialize_report(classify(graph, with_monodromy=with_monodromy), "json")
+    for generators in (greedy_generators(theta), theta.generators[::-1]):
+        group = PermGroup(generators, degree=graph.e)
+        assert group.order() == theta.order()
+        report = classify(graph, group=group, with_monodromy=with_monodromy)
+        assert serialize_report(report, "json") == full
+
+
+@pytest.mark.parametrize("name", [name for name, _ in STABILIZER_ORDER_CASES])
+def test_stabilizer_elements_are_listed_by_table(name):
+    graph = load_bipartite(name + ".bg")
+    group = automorphism_group(graph)
+    records = classify(graph, with_monodromy=False).records
+    for rec in records:
+        tables = [g._table for g in rec.aut_generators]
+        assert all(a < b for a, b in zip(tables, tables[1:]))
+        assert stabilizer(rec.representative, group).generators == rec.aut_generators
+    # analyze lists them in the same order
+    for rec in [r for r in records if r.aut_generators]:
+        out = io.StringIO()
+        assert main([
+            "analyze", fixture_path(name + ".bg"),
+            "--sigma", format_cycles(rec.representative.sigma),
+            "--tau", format_cycles(rec.representative.tau),
+        ], out=out, err=io.StringIO()) == 0
+        line = "aut_generators: " + "; ".join(map(format_cycles, rec.aut_generators))
+        assert line in out.getvalue().splitlines()
 
 
 def test_census_pool_bounded_by_cores_and_chunks(monkeypatch):
