@@ -181,8 +181,9 @@ class PlainGraph:
             )
         vset = set(self.vertices)
         for l, u, v in self.edges:
-            if u not in vset or v not in vset:
-                raise GraphStructureError(f"edge {l}: unknown vertex")
+            for x in (u, v):
+                if x not in vset:
+                    raise GraphStructureError(f"edge {l}: unknown vertex {x!r}")
         _check_connected(self.vertices, self.edges)
 
 
@@ -262,8 +263,9 @@ def parse_plain(text):
     vertices = ids["vertex"]
     vset = set(vertices)
     for lineno, _, u, v in edges:
-        if u not in vset or v not in vset:
-            raise GraphParseError(f"line {lineno}: unknown vertex")
+        for x in (u, v):
+            if x not in vset:
+                raise GraphParseError(f"line {lineno}: unknown vertex {x!r}")
     try:
         return PlainGraph(vertices, [edge[1:] for edge in edges])
     except GraphStructureError as exc:

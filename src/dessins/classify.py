@@ -22,24 +22,24 @@ The invariants are computed once per mirror class, on the orbit of the
 lesser representative, and shared with a chiral partner: a dessin and its
 mirror have the same invariants (proof at ``_orbit_invariants``).  When the
 monodromy groups are wanted, their Schreier-Sims builds dominate, so those
-calls run in a fork pool over contiguous chunks of the mirror classes;
-output never depends on the worker count.
+calls run in a fork pool, one contiguous chunk of the mirror classes per
+worker; output never depends on the worker count.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import compress, repeat
+from math import ceil
 from operator import add, itemgetter
 
 from .bgraph import BipartiteGraph, EdgeActionGroup, _check_label_count, automorphism_group
 from .dessin import invariants, dualizable_oracle, wilson
 from .perm import Permutation, _IDENT256, _invert, conjugate, format_cycles
 from .permgroup import PermGroup
-from .rotation import InternalInvariantError, RotationPair, _Radix, _pair_from_tables, chunk_bounds
+from .rotation import InternalInvariantError, RotationPair, _Radix, _pair_from_tables
 
 DEFAULT_BUDGET = 10**7
 
@@ -293,9 +293,8 @@ def _orbit_census(radix, action):
     return census, mirrors
 
 
-def _invariants_worker(args):
-    pairs, with_monodromy, passport = args
-    return [invariants(pair, with_monodromy, passport=passport) for pair in pairs]
+def _invariants_worker(pair, with_monodromy, passport):
+    return invariants(pair, with_monodromy, passport=passport)
 
 
 def _orbit_invariants(pairs, partners, threads, with_monodromy, passport):
@@ -320,20 +319,22 @@ def _orbit_invariants(pairs, partners, threads, with_monodromy, passport):
 
     Only the monodromy groups cost enough to pay for forking; the workers
     are bounded by the cores and the mirror classes, so a large ``threads``
-    forks no more than can run.
+    forks no more than can run.  ``Pool.map`` cuts the mirror classes into
+    one contiguous chunk per worker and returns the results in order, and
+    ``multiprocessing`` is imported only when a pool forks.
     """
     firsts = [i for i, partner in enumerate(partners) if i <= partner]
     todo = [pairs[i] for i in firsts]
     processes = min(threads, os.cpu_count() or 1, len(todo))
+    # the worker looks ``invariants`` up when called, so a rebound one is used
+    work = partial(_invariants_worker, with_monodromy=with_monodromy, passport=passport)
     if not with_monodromy or processes <= 1:
-        invs = _invariants_worker((todo, with_monodromy, passport))
+        invs = map(work, todo)
     else:
-        jobs = [
-            (todo[slice(*chunk_bounds(len(todo), i, processes))], with_monodromy, passport)
-            for i in range(processes)
-        ]
+        import multiprocessing
+
         with multiprocessing.get_context("fork").Pool(processes) as pool:
-            invs = [inv for part in pool.map(_invariants_worker, jobs) for inv in part]
+            invs = pool.map(work, todo, chunksize=ceil(len(todo) / processes))
     shared = [None] * len(pairs)
     for i, inv in zip(firsts, invs):
         shared[i] = shared[partners[i]] = inv

@@ -52,26 +52,20 @@ def _read(path):
         raise GraphParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _default_budget():
-    env = os.environ.get("DESSIN_BUDGET")
-    if env is None:
-        return None
-    try:
-        budget = int(env)
-    except ValueError:
-        raise GraphParseError(f"DESSIN_BUDGET is not an integer: {env!r}")
-    if budget < 0:
-        raise GraphParseError(f"DESSIN_BUDGET {budget} is negative")
-    return budget
-
-
 def _budget(args, fallback):
-    if args.budget is not None:
-        if args.budget < 0:
-            raise GraphParseError(f"--budget {args.budget} is negative")
-        return args.budget
-    env = _default_budget()
-    return env if env is not None else fallback
+    """``--budget``, else ``DESSIN_BUDGET``, else the command's default; never negative."""
+    budget, name = args.budget, "--budget"
+    if budget is None:
+        env = os.environ.get("DESSIN_BUDGET")
+        if env is None:
+            return fallback
+        try:
+            budget, name = int(env), "DESSIN_BUDGET"
+        except ValueError:
+            raise GraphParseError(f"DESSIN_BUDGET is not an integer: {env!r}")
+    if budget < 0:
+        raise GraphParseError(f"{name} {budget} is negative")
+    return budget
 
 
 def cmd_classify(args, out, err):
@@ -95,7 +89,10 @@ def cmd_classify(args, out, err):
         budget=_budget(args, DEFAULT_BUDGET),
         duality_oracle=args.duality,
     )
-    wilson_targets = (r, s, wilson_orbit_targets(report, r, s)) if args.wilson else None
+    # only the JSON carries the targets
+    wilson_targets = None
+    if args.wilson and args.emit == "json":
+        wilson_targets = (r, s, wilson_orbit_targets(report, r, s))
     out.write(serialize_document(build_document(report, wilson_targets), args.emit))
     if args.duality:
         err.write(f"duality oracle agreed on {len(report.records)} records\n")

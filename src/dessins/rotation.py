@@ -12,8 +12,7 @@ own).  A group lists the joined images of its labels by its digit, and
 maps them back to its summed rank term in one dict.  ``_Radix.unrank``
 computes the pair at an index (Knuth, TAOCP 4A, 7.2.1.1) with one
 ``divmod`` per rank group and one ``bytes.maketrans`` per side; so any
-index, or any slice of the index range (``chunk_bounds``), gives the same
-pairs as the whole stream.  ``_Radix.rank`` inverts it: each group reads
+index gives the same pair as the whole stream.  ``_Radix.rank`` inverts it: each group reads
 the images of its labels with one ``bytes.translate`` and looks them up.
 
 In the family the sigma-cycles are the label sets of the black vertices and
@@ -242,11 +241,6 @@ def enumerate_pairs(graph):
     """All candidate_count(graph) rotation pairs, in the pinned order."""
     radix = _Radix(graph)
     return (_pair_from_tables(*radix.unrank(i), graph) for i in range(radix.total))
-
-
-def chunk_bounds(total, chunk_index, chunk_count):
-    """(start, stop) of the chunk_index-th of chunk_count slices of range(total)."""
-    return chunk_index * total // chunk_count, (chunk_index + 1) * total // chunk_count
 
 
 def membership_failure(graph, sigma, tau):

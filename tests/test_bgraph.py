@@ -73,6 +73,19 @@ def test_parse_unknown_directive():
         parse_bipartite("node a\n")
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_bipartite, "black b1\nwhite w1\nedge b2 w1\n", "line 3: unknown black vertex 'b2'"),
+    (parse_bipartite, "black\nwhite w\nedge b w\n", "line 1: 'black' needs at least one id"),
+    (parse_plain, "vertex a\nedge a z\n", "line 2: unknown vertex 'z'"),
+    (parse_plain, "vertex a b\nedge 1 a b\nedge 3 a b\n",
+     "edge labels must be exactly 1..2, got [1, 3]"),
+], ids=["unknown black vertex", "black without ids", "unknown plain vertex", "plain label gap"])
+def test_file_refusals_name_the_fault(parse, text, message):
+    with pytest.raises(GraphParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 # both headers declare the vertices a and w on lines 1-2, so every edge
 # line has the same number in both formats
 HEADERS = [
@@ -311,8 +324,9 @@ def test_bipartite_graph_refusals(blacks, whites, edges, message):
 @pytest.mark.parametrize("vertices, edges, message", [
     (["a"], [], "graph has no edges"),
     (["a", "a"], [(1, "a", "a")], "duplicate vertex id"),
-    (["a"], [(1, "a", "z")], "edge 1: unknown vertex"),
-    (["a"], [(1, "z", "a")], "edge 1: unknown vertex"),
+    (["a"], [(1, "a", "z")], "edge 1: unknown vertex 'z'"),
+    (["a"], [(1, "z", "a")], "edge 1: unknown vertex 'z'"),
+    (["a", "b"], [(1, "a", "b"), (3, "a", "b")], r"edge labels must be exactly 1\.\.2, got \[1, 3\]"),
 ])
 def test_plain_graph_refusals(vertices, edges, message):
     with pytest.raises(GraphStructureError, match=f"^{message}$"):

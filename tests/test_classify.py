@@ -371,7 +371,8 @@ def test_stabilizer_elements_are_listed_by_table(name):
 
 
 def test_census_pool_bounded_by_cores_and_chunks(monkeypatch):
-    # the fake pool records its size and runs the chunks inline: nothing forks
+    # the fake pool records its size and chunk size and runs the jobs
+    # inline: nothing forks
     import multiprocessing
     import os
 
@@ -379,7 +380,7 @@ def test_census_pool_bounded_by_cores_and_chunks(monkeypatch):
 
     class InlinePool:
         def __init__(self, processes):
-            sizes.append(processes)
+            self.processes = processes
 
         def __enter__(self):
             return self
@@ -387,7 +388,8 @@ def test_census_pool_bounded_by_cores_and_chunks(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
+        def map(self, fn, jobs, chunksize):
+            sizes.append((self.processes, chunksize))
             return [fn(job) for job in jobs]
 
     monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InlinePool)
@@ -400,8 +402,8 @@ def test_census_pool_bounded_by_cores_and_chunks(monkeypatch):
     classes = sum(rec.mirror_partner is None or rec.orbit_id < rec.mirror_partner
                   for rec in report.records)
     assert (len(report.records), classes) == (16, 8)
-    for cores, threads, expected in ((8, 50000, [8]), (64, 50000, [classes]),
-                                     (8, 3, [3]), (None, 50000, []), (1, 4, [])):
+    for cores, threads, expected in ((8, 50000, [(8, 1)]), (64, 50000, [(classes, 1)]),
+                                     (8, 3, [(3, 3)]), (None, 50000, []), (1, 4, [])):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         sizes.clear()
         report = classify(graph, threads=threads, group=trivial)
@@ -414,6 +416,15 @@ def test_census_pool_bounded_by_cores_and_chunks(monkeypatch):
             sizes.clear()
             classify(graph, threads=threads, group=trivial, with_monodromy=False)
             assert sizes == []
+
+
+def test_import_loads_no_process_pool():
+    # only a forking pool needs multiprocessing; importing the package,
+    # its command line among it, leaves it unloaded
+    code, out, err = run_capped(
+        "import sys\nimport dessins.cli\nprint('multiprocessing' in sys.modules)\n"
+    )
+    assert (code, out, err) == (0, "False\n", "")
 
 
 def _assert_chiral_invariants_hold_on_own_pair(report):

@@ -119,6 +119,24 @@ def test_classify_wilson_flag():
         assert rec["wilson"] == {"r": 2, "s": 2, "target_orbit_id": rec["orbit_id"]}
 
 
+def test_classify_wilson_targets_computed_only_for_json(monkeypatch):
+    # CSV and table carry no target, so they are not computed for them
+    import dessins.cli
+
+    emitted = []
+    original = dessins.cli.wilson_orbit_targets
+
+    def counted(report, r, s):
+        emitted.append(emit)
+        return original(report, r, s)
+
+    monkeypatch.setattr(dessins.cli, "wilson_orbit_targets", counted)
+    for emit in ("json", "csv", "table"):
+        code, _, _ = run(["classify", fixture_path("k33.bg"), "--emit", emit, "--wilson", "2,2"])
+        assert code == 0
+    assert emitted == ["json"]
+
+
 def test_classify_wilson_exponents_checked_before_classifying():
     # a4_clean has white degree 2, so s = 2 is not coprime to it, and an
     # exponent below 1 is no power operation; a budget that classify would

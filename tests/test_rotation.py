@@ -17,7 +17,6 @@ from dessins.rotation import (
     _cycles_at,
     _Radix,
     _rotations,
-    chunk_bounds,
     membership_failure,
 )
 
@@ -96,28 +95,6 @@ def test_every_pair_transitive():
         g = load_bipartite(name)
         for p in enumerate_pairs(g):
             assert group_from_generators([p.sigma, p.tau]).is_transitive()
-
-
-def chunk(radix, chunk_index, chunk_count):
-    """The table pairs of the chunk_index-th of chunk_count slices of the stream."""
-    return [radix.unrank(i) for i in range(*chunk_bounds(radix.total, chunk_index, chunk_count))]
-
-
-def test_chunks_partition_the_stream():
-    g = load_bipartite("a4_clean.bg")
-    radix = _Radix(g)
-    whole = [(p.sigma._table[:g.e], p.tau._table[:g.e]) for p in enumerate_pairs(g)]
-    assert chunk(radix, 0, 1) == whole
-    rejoined = []
-    for i in range(4):
-        rejoined.extend(chunk(radix, i, 4))
-    assert rejoined == whole
-
-
-def test_chunk_sizes_balanced():
-    radix = _Radix(load_bipartite("k5_clean.bg"))
-    sizes = [len(chunk(radix, i, 6)) for i in range(6)]
-    assert sizes == [1296] * 6
 
 
 def test_stream_range_outside_the_index_space_refused():
