@@ -1,10 +1,12 @@
 """Bipartite multigraphs with labeled edges, and their edge-acting automorphisms.
 
 The color-preserving automorphism search is a partition-refinement
-backtracker over vertices; each leaf emits its vertex automorphism as the
-unique label-order-preserving edge bijection, in 0-based image bytes, and
-parallel edge classes contribute generators realizing the full symmetric
-group on each class.
+backtracker over vertices that prunes by orbits: it keeps one leaf per new
+orbit point of each level of its vertex order, at most V - 1 generators in
+all, and counts the group as the product of those orbits' lengths.  Each
+generator is the unique label-order-preserving edge bijection of its
+vertex map, in 0-based image bytes, and parallel edge classes contribute
+generators realizing the full symmetric group on each class.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from math import factorial
 
-from .perm import _IDENT256, MAX_DEGREE, Permutation
+from .perm import MAX_DEGREE, Permutation
 from .permgroup import PermGroup
 
 
@@ -297,24 +299,25 @@ def cleanify(plain):
 class EdgeActionGroup:
     """The color-preserving automorphisms of a bipartite graph, acting on labels.
 
-    ``theta`` is generated by the label actions of the vertex automorphisms
-    other than the identity, in backtracking order, then by a swap and a
-    cycle of each parallel class, classes sorted by labels.  That order
-    reaches the output only through ``autgroup``, which prints the
-    generators: stabilizers are listed by table (``classify._Action``).
+    ``theta`` is generated by the label actions of the search's vertex
+    generators, in the order found, then by a swap and a cycle of each
+    parallel class, classes sorted by labels.  That order reaches the
+    output only through ``autgroup``, which prints the generators:
+    stabilizers are listed by table (``classify._Action``).
     ``group_order`` is the group order counted on the vertex side (vertex
     automorphisms times parallel-class permutations), asserted equal to
     ``theta.order()``.
 
     ``group_order`` is also ``theta``'s ``order_bound``.  The automorphisms
     of the multigraph act faithfully on the labels: every vertex lies on an
-    edge, so the edge map determines the vertex map.  The backtracker lists
-    every vertex automorphism once, and each extends to an edge map in the
-    product of the parallel classes' factorials ways, so that label action
-    has exactly ``group_order`` elements, and ``theta`` is a subgroup of it.
-    So theta's build stops verifying once its basic orbits reach that order;
-    if they never do, the verification runs to the end and the mismatch is
-    refused.
+    edge, so the edge map determines the vertex map.  The search counts the
+    vertex automorphisms as the product of its orbit lengths per level,
+    one orbit of G_i on u_i per level (``_vertex_automorphisms``), and each
+    extends to an edge map in the product of the parallel classes'
+    factorials ways, so that label action has exactly ``group_order``
+    elements, and ``theta`` is a subgroup of it.  So theta's build stops
+    verifying once its basic orbits reach that order; if they never do, the
+    verification runs to the end and the mismatch is refused.
     """
 
     theta: PermGroup
@@ -331,19 +334,35 @@ def _pair_labels(graph):
 
 
 def _vertex_automorphisms(graph):
-    """All color-preserving vertex automorphisms, by refinement + backtracking.
+    """Generators of the color-preserving vertex automorphisms, and their count.
 
-    Each comes back as its action on the labels, ``graph.e`` 0-based image
-    bytes: it moves the sorted labels of every (b, w) pair onto those of
-    the image pair, in order.  Every traversal below runs over sorted
-    structures so the result order is independent of hash seeds, run to
-    run.
+    Each generator comes back as its action on the labels, ``graph.e``
+    0-based image bytes: it moves the sorted labels of every (b, w) pair
+    onto those of the image pair, in order.  Every traversal below runs
+    over sorted structures so the result order is independent of hash
+    seeds, run to run.
+
+    The search walks the levels of its vertex order u_0, u_1, ... from the
+    deepest to the root, every vertex before the level mapped to itself
+    (McKay and Piperno's orbit pruning, "Practical graph isomorphism, II",
+    2014).  Let G_i be the automorphisms fixing u_0 .. u_(i-1).  At level
+    i, a candidate image v of u_i already in the orbit of u_i under the
+    generators found so far is skipped; for any other, the first leaf
+    below u_i -> v, if there is one, becomes a generator.  Generators found
+    at level i or deeper fix u_0 .. u_(i-1), so they lie in G_i; and by
+    induction from G_n = 1 they generate G_(i+1) when level i starts.
+    Every point of u_i's orbit under G_i is reached or skipped as already
+    in the orbit, so after level i the generators reach all of it, and
+    with G_(i+1) they generate G_i (Schreier; Seress, *Permutation Group
+    Algorithms*, ch. 4).  So |G_0| is the product over the levels of u_i's
+    orbit length, and as each generator merges two orbits of the vertices,
+    there are at most V - 1 of them.
 
     A candidate v for u must keep the edge count to every placed vertex x,
     ``adj[u][x] == adj[v][fwd[x]]`` (absent is 0).  The check reads only u's
     c placed neighbours and asks v to have exactly c placed neighbours: as
     fwd is injective, their images are then all of v's placed neighbours, so
-    placed non-neighbours of u map to non-neighbours of v.  The same maps
+    placed non-neighbours of u map to non-neighbours of v.  The same leaves
     come out, in the same order, as with the check against every placed x.
     """
     verts = [("b", v) for v in graph.blacks] + [("w", v) for v in graph.whites]
@@ -395,8 +414,8 @@ def _vertex_automorphisms(graph):
     pairs = _pair_labels(graph)
     source = b"".join(pairs.values())
     sizes = list(map(len, pairs.values()))
-    results = []
-    fwd, back = {}, {}
+    fwd = {u: u for u in order}
+    back = dict(fwd)
 
     sorted_verts = sorted(verts, key=str)
 
@@ -410,45 +429,67 @@ def _vertex_automorphisms(graph):
             return [v for v in sorted_verts if inv[v] == inv[u] and v not in back]
         return [v for v in nbrs[fwd[anchor]] if inv[v] == inv[u] and v not in back]
 
-    def extend(i):
-        if i == len(order):
-            targets = [pairs[fwd[b], fwd[w]] for b, w in pairs]
+    def placeable(u):
+        """The candidates for u that keep the edge counts to the placed vertices."""
+        images = [(fwd[x], k) for x, k in adj[u].items() if x in fwd]
+        return [v for v in candidates(u)
+                if all(adj[v].get(y) == k for y, k in images)
+                and sum(1 for y in adj[v] if y in back) == len(images)]
+
+    def first_leaf(i, images):
+        """The first complete map that sends order[i] into ``images`` and
+        extends the placed prefix, or None."""
+        u = order[i]
+        for v in images:
+            fwd[u] = v
+            back[v] = u
+            if i + 1 == len(order):
+                leaf = dict(fwd)
+            else:
+                leaf = first_leaf(i + 1, placeable(order[i + 1]))
+            del back[v], fwd[u]
+            if leaf is not None:
+                return leaf
+        return None
+
+    # orbit[x]: x's orbit under the generators so far, one tuple shared by
+    # its members
+    orbit = {u: (u,) for u in verts}
+    generators = []
+    count = 1
+    for i in reversed(range(len(order))):
+        u = order[i]
+        del fwd[u], back[u]
+        for v in placeable(u):
+            leaf = None if orbit[v] is orbit[u] else first_leaf(i, (v,))
+            if leaf is None:
+                continue
+            targets = [pairs[leaf[b], leaf[w]] for b, w in pairs]
             if list(map(len, targets)) != sizes:
                 raise GraphStructureError("vertex map does not preserve multiplicities")
-            results.append(bytes.maketrans(source, b"".join(targets))[: graph.e])
-            return
-        u = order[i]
-        images = [(fwd[x], k) for x, k in adj[u].items() if x in fwd]
-        for v in candidates(u):
-            av = adj[v]
-            if (all(av.get(y) == k for y, k in images)
-                    and sum(1 for y in av if y in back) == len(images)):
-                fwd[u] = v
-                back[v] = u
-                extend(i + 1)
-                del back[v]
-                del fwd[u]
-
-    extend(0)
-    return results
+            generators.append(bytes.maketrans(source, b"".join(targets))[: graph.e])
+            for x, y in leaf.items():
+                if orbit[x] is not orbit[y]:
+                    merged = orbit[x] + orbit[y]
+                    for z in merged:
+                        orbit[z] = merged
+        count *= len(orbit[u])
+    return generators, count
 
 
 def automorphism_group(graph):
     """Full group of color-preserving automorphisms with its action on labels."""
     _check_label_count(graph.e)
-    autos = _vertex_automorphisms(graph)
+    tables, vertex_count = _vertex_automorphisms(graph)
     e = graph.e
-    ident = _IDENT256[:e]
-    gens = [Permutation._from_table(t, e) for t in autos if t != ident]
+    gens = [Permutation._from_table(t, e) for t in tables]
     parallel = sorted(ls for ls in _pair_labels(graph).values() if len(ls) > 1)
     for ls in parallel:
         gens.append(Permutation._from_table(bytes.maketrans(ls[:2], ls[1::-1]), e))
         if len(ls) > 2:
             gens.append(Permutation._from_table(bytes.maketrans(ls, ls[1:] + ls[:1]), e))
-
-    vertex_count = len(autos)
-    for ls in parallel:
         vertex_count *= factorial(len(ls))
+
     theta = PermGroup(gens, degree=e, order_bound=vertex_count)
     if theta.order() != vertex_count:
         raise GraphStructureError(

@@ -325,16 +325,20 @@ def _orbit_invariants(pairs, partners, threads, with_monodromy, passport):
     """
     firsts = [i for i, partner in enumerate(partners) if i <= partner]
     todo = [pairs[i] for i in firsts]
-    processes = min(threads, os.cpu_count() or 1, len(todo))
+    workers = min(threads, os.cpu_count() or 1, len(todo))
     # the worker looks ``invariants`` up when called, so a rebound one is used
     work = partial(_invariants_worker, with_monodromy=with_monodromy, passport=passport)
-    if not with_monodromy or processes <= 1:
+    if not with_monodromy or workers <= 1:
         invs = map(work, todo)
     else:
         import multiprocessing
 
+        # rounding the chunks up can leave workers without one: fork only
+        # as many as there are chunks
+        chunksize = ceil(len(todo) / workers)
+        processes = ceil(len(todo) / chunksize)
         with multiprocessing.get_context("fork").Pool(processes) as pool:
-            invs = pool.map(work, todo, chunksize=ceil(len(todo) / processes))
+            invs = pool.map(work, todo, chunksize=chunksize)
     shared = [None] * len(pairs)
     for i, inv in zip(firsts, invs):
         shared[i] = shared[partners[i]] = inv

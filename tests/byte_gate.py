@@ -7,7 +7,7 @@ admits its 24^6 rotation systems; ``autgroup`` on every ``.bg`` fixture,
 the 6-edge bundle's pinning the swap and cycle of a parallel class;
 ``classify --emit json`` on the 6-leaf star, whose
 5 listed stabilizer elements pin their order by table on a dense group
-(``autgroup star6.bg`` pins its 719 generators), and on the 6-edge
+(``autgroup star6.bg`` pins the 5 generators of its order-720 group), and on the 6-edge
 bundle, whose 14400 pairs under |G| = 720 pin the census on a dense group
 with one rank group per side, and on the double prism, whose 1042 monodromy
 orders pin the Schreier-Sims builds and the giant certificate; ``analyze`` on the

@@ -63,20 +63,39 @@ def complete_bipartite_text(m, n):
     return "\n".join(lines) + "\n"
 
 
-def run_capped(code):
+def closure(generators, e):
+    """Every element generated by ``e``-byte 0-based image tables, breadth first."""
+    ident = bytes(range(e))
+    elements = {ident}
+    frontier = [ident]
+    while frontier:
+        frontier = [bytes(g[x] for x in t) for t in frontier for g in generators]
+        frontier = [t for t in dict.fromkeys(frontier) if t not in elements]
+        elements.update(frontier)
+    return elements
+
+
+def run_capped(code, cpu_seconds=None):
     """Run ``code`` in a child interpreter with its address space capped at 3 GB.
 
     Under the cap a runaway allocation ends the child with MemoryError
-    instead of exhausting the host.  Returns the child's exit code and its
-    stdout and stderr as text.
+    instead of exhausting the host; ``cpu_seconds``, when given, also caps
+    its CPU time, so a runaway search is killed.  Returns the child's exit
+    code and its stdout and stderr as text.
     """
     resource = pytest.importorskip("resource")
     src = os.path.dirname(os.path.dirname(dessins.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+        if cpu_seconds is not None:
+            resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
+
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9)),
+        preexec_fn=cap,
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -262,6 +262,24 @@ def test_group_closed_under_products():
             assert group.theta.contains(prod)
 
 
+@pytest.mark.parametrize("name, order", [
+    ("a4_clean", 24), ("bundle6", 720), ("c33", 8), ("d33", 24), ("double_prism", 48),
+    ("frucht_clean", 1), ("k33", 36), ("k33_clean", 72), ("k44", 576), ("k5_clean", 120),
+    ("star6", 720),
+])
+def test_fixture_groups_from_few_generators(name, order):
+    # each vertex generator merges two orbits of the vertices, so there are
+    # at most V - 1 of them; a parallel class adds a swap and a cycle
+    from collections import Counter
+
+    graph = load_bipartite(name + ".bg")
+    group = automorphism_group(graph)
+    assert group.group_order == group.theta.order() == order
+    parallel = sum(k > 1 for k in Counter((b, w) for _, b, w in graph.edges).values())
+    vertices = len(graph.blacks) + len(graph.whites)
+    assert len(group.theta.generators) <= vertices - 1 + 2 * parallel
+
+
 def test_edge_action_injectivity_counts():
     # |theta(G)| must equal the group order counted on the vertex side
     from dessins.bgraph import _vertex_automorphisms
@@ -270,8 +288,7 @@ def test_edge_action_injectivity_counts():
     for name, parallel_classes in (("d33.bg", (2, 2, 2)), ("c33.bg", (2, 2))):
         g = load_bipartite(name)
         group = automorphism_group(g)
-        vertex_autos = len(_vertex_automorphisms(g))
-        expected = vertex_autos
+        _, expected = _vertex_automorphisms(g)
         for m in parallel_classes:
             expected *= math.factorial(m)
         assert group.group_order == expected == group.theta.order()
@@ -345,9 +362,8 @@ def test_cleanify_admits_a_byte_of_labels():
     (complete_bipartite_text(5, 5), 14400),
 ], ids=["star8", "k55"])
 def test_large_automorphism_groups_within_memory(text, order):
-    # every vertex automorphism but the identity is a generator of theta:
-    # 40319 and 14399 of them, which must neither be compared pairwise nor
-    # expand into a quadratic schedule of certificate slots
+    # the search keeps at most V - 1 generators, 7 and 8 here, and counts
+    # the group off its orbits
     code, out, err = run_capped(
         "from dessins import automorphism_group, parse_bipartite\n"
         f"print(automorphism_group(parse_bipartite({text!r})).group_order)\n"
@@ -357,8 +373,8 @@ def test_large_automorphism_groups_within_memory(text, order):
 
 
 def test_automorphisms_of_a_large_star_held_as_label_bytes():
-    # the search keeps each of the 8-leaf star's 40320 automorphisms as its
-    # 8 label image bytes until theta takes the 40319 that are not the identity
+    # the search keeps its at most V - 1 generators as 8 label image bytes
+    # each, not the 8-leaf star's 40320 automorphisms (a 12 kB peak)
     import tracemalloc
 
     graph = parse_bipartite(star_text(8))
@@ -369,16 +385,21 @@ def test_automorphisms_of_a_large_star_held_as_label_bytes():
     finally:
         tracemalloc.stop()
     assert order == 40320
-    assert peak < 20 * 2**20
+    assert peak < 2**20
 
 
 def test_unreached_order_bound_still_refuses_an_unfaithful_count(monkeypatch):
-    # each vertex automorphism listed twice doubles the bound theta is given;
-    # its orbits never reach it, so the full verification finds |theta|
+    # a doubled count of vertex automorphisms doubles the bound theta is
+    # given; its orbits never reach it, so the full verification finds |theta|
     import dessins.bgraph as bgraph_module
 
-    listed = bgraph_module._vertex_automorphisms
-    monkeypatch.setattr(bgraph_module, "_vertex_automorphisms", lambda g: listed(g) * 2)
+    search = bgraph_module._vertex_automorphisms
+
+    def doubled(graph):
+        generators, count = search(graph)
+        return generators, 2 * count
+
+    monkeypatch.setattr(bgraph_module, "_vertex_automorphisms", doubled)
     with pytest.raises(GraphStructureError,
                        match=r"^edge action is not faithful: \|theta\| = 36 but \|G\| = 72$"):
         automorphism_group(load_bipartite("k33.bg"))

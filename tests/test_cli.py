@@ -1,11 +1,12 @@
 import io
 import json
+import time
 
 import pytest
 
 from dessins.cli import main
 
-from conftest import fixture_path
+from conftest import complete_bipartite_text, fixture_path, run_capped, star_text
 
 import corpus
 
@@ -245,6 +246,40 @@ def test_autgroup():
     assert kv(out)["order"] == "120"
     code, out, _ = run(["autgroup", fixture_path("a4_clean.bg")])
     assert kv(out)["order"] == "24"
+
+
+def run_cli_capped(argv, cpu_seconds=20):
+    """``dessins`` in a capped child: exit code, stdout, stderr and wall seconds."""
+    start = time.monotonic()
+    code, out, err = run_capped(
+        f"import sys\nfrom dessins.cli import main\nsys.exit(main({argv!r}))\n",
+        cpu_seconds=cpu_seconds,
+    )
+    return code, out, err, time.monotonic() - start
+
+
+def test_ten_leaf_star_refused_in_milliseconds(tmp_path):
+    # |G| = 10! is over the element cap; the search counts it off 9
+    # generators, so classify refuses before it lists an automorphism
+    path = tmp_path / "star10.bg"
+    path.write_text(star_text(10))
+    code, out, err, seconds = run_cli_capped(["classify", str(path)])
+    assert (code, out) == (3, "")
+    assert err == "error: group order 3628800 exceeds enumeration cap 1000000\n"
+    assert seconds < 2
+
+
+@pytest.mark.parametrize("m, order, most", [(4, 576, 7), (5, 14400, 9)])
+def test_autgroup_of_complete_bipartite_graphs_by_few_generators(tmp_path, m, order, most):
+    # at most V - 1 generators, where every automorphism but the identity
+    # would be |G| - 1 of them
+    path = tmp_path / f"k{m}{m}.bg"
+    path.write_text(complete_bipartite_text(m, m))
+    code, out, err, _ = run_cli_capped(["autgroup", str(path)])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:2] == [f"order: {order}", "generators:"]
+    assert 0 < len(lines) - 2 <= most
 
 
 def test_genus_range_cli():

@@ -57,6 +57,7 @@ from dessins.rotation import CycleText, _Radix
 
 import cycles_oracle
 import genus_oracle
+from conftest import closure
 
 # N * |G| act calls per Burnside count; keeps each example well under 0.1 s
 MAX_WORK = 3000
@@ -194,11 +195,14 @@ def brute_force_vertex_automorphisms(graph):
 @given(small_graphs())
 def test_vertex_automorphisms_agree_with_brute_force(graph):
     # the backtracker checks edge counts at placed neighbours only; the
-    # brute force checks them at every pair of vertices
-    autos = _vertex_automorphisms(graph)
-    assert len(set(autos)) == len(autos)
+    # brute force checks them at every pair of vertices.  The breadth-first
+    # closure of the generators is the whole group, and the count its size
+    generators, count = _vertex_automorphisms(graph)
     expected, mult = brute_force_vertex_automorphisms(graph)
-    assert sorted(autos) == sorted(expected)
+    assert len(set(expected)) == len(expected)
+    assert closure(generators, graph.e) == set(expected)
+    assert count == len(expected)
+    assert len(generators) < len(graph.blacks) + len(graph.whites)
     order = len(expected)
     for k in mult.values():
         order *= math.factorial(k)
