@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from math import factorial
+from math import factorial, prod
 
 from .perm import MAX_DEGREE, Permutation
 from .permgroup import PermGroup
@@ -75,26 +75,24 @@ def _edge_label(label):
     raise GraphStructureError(f"edge label {label!r} is not an integer")
 
 
-def _check_label_count(e, limit=MAX_DEGREE):
-    if e > limit:
-        raise GraphStructureError(f"{e} edges exceed the limit of {limit} labels")
-
-
 class BipartiteGraph:
     """Connected bipartite multigraph with edges labeled exactly 1..e.
 
     An edge label is an int or decimal text such as ``"1"``; any other
     label (a float, a bool, None, other text) raises ``GraphStructureError``.
-    More than ``label_limit`` edges are refused: permutations of the labels
-    keep them in a byte.  ``degree`` of a vertex not in the graph raises
-    ``ValueError``.
+    More than ``MAX_DEGREE`` (256) edges are refused here, the one place a
+    label count is checked: every table keeps a label 0-based in a byte.
+    ``degree`` of a vertex not in the graph raises ``ValueError``.
     """
 
-    def __init__(self, blacks, whites, edges, label_limit=MAX_DEGREE):
+    def __init__(self, blacks, whites, edges):
         self.blacks = tuple(blacks)
         self.whites = tuple(whites)
         self.edges = tuple((_edge_label(l), b, w) for l, b, w in edges)
-        _check_label_count(len(self.edges), label_limit)
+        if len(self.edges) > MAX_DEGREE:
+            raise GraphStructureError(
+                f"{len(self.edges)} edges exceed the limit of {MAX_DEGREE} labels"
+            )
         self._validate()
         self.e = len(self.edges)
         self.black_labels = {v: [] for v in self.blacks}
@@ -151,12 +149,9 @@ class BipartiteGraph:
 
     def candidate_count(self):
         """Number of rotation-system pairs: product of (deg-1)! over all vertices."""
-        n = 1
-        for v in self.blacks:
-            n *= factorial(len(self.black_labels[v]) - 1)
-        for v in self.whites:
-            n *= factorial(len(self.white_labels[v]) - 1)
-        return n
+        return prod(factorial(len(labels) - 1)
+                    for side in (self.black_labels, self.white_labels)
+                    for labels in side.values())
 
     def __repr__(self):
         return f"BipartiteGraph(e={self.e}, passport={self.passport()})"
@@ -279,8 +274,8 @@ def cleanify(plain):
 
     Plain edge k becomes white vertex ``e<k>`` with clean edges 2k-1 (to the
     first endpoint) and 2k (to the second); a loop yields two parallel clean
-    edges at its vertex.  The genus search keeps these labels 0-based, so
-    up to 256 of them fit in a byte.
+    edges at its vertex.  Like any bipartite graph, the subdivision holds
+    at most 256 labels, so at most 128 plain edges.
     """
     blacks = list(plain.vertices)
     whites = []
@@ -290,7 +285,7 @@ def cleanify(plain):
         whites.append(w)
         edges.append((2 * label - 1, u, w))
         edges.append((2 * label, v, w))
-    return BipartiteGraph(blacks, whites, edges, label_limit=MAX_DEGREE + 1)
+    return BipartiteGraph(blacks, whites, edges)
 
 
 # -- automorphisms ----------------------------------------------------------
@@ -479,7 +474,6 @@ def _vertex_automorphisms(graph):
 
 def automorphism_group(graph):
     """Full group of color-preserving automorphisms with its action on labels."""
-    _check_label_count(graph.e)
     tables, vertex_count = _vertex_automorphisms(graph)
     e = graph.e
     gens = [Permutation._from_table(t, e) for t in tables]

@@ -35,7 +35,7 @@ from itertools import compress, repeat
 from math import ceil
 from operator import add, itemgetter
 
-from .bgraph import BipartiteGraph, EdgeActionGroup, _check_label_count, automorphism_group
+from .bgraph import BipartiteGraph, EdgeActionGroup, automorphism_group
 from .dessin import invariants, dualizable_oracle, wilson
 from .perm import Permutation, _IDENT256, _invert, conjugate, format_cycles
 from .permgroup import PermGroup
@@ -325,7 +325,8 @@ def _orbit_invariants(pairs, partners, threads, with_monodromy, passport):
     """
     firsts = [i for i, partner in enumerate(partners) if i <= partner]
     todo = [pairs[i] for i in firsts]
-    workers = min(threads, os.cpu_count() or 1, len(todo))
+    cores = os.cpu_count() or 1
+    workers = min(threads or cores, cores, len(todo))
     # the worker looks ``invariants`` up when called, so a rebound one is used
     work = partial(_invariants_worker, with_monodromy=with_monodromy, passport=passport)
     if not with_monodromy or workers <= 1:
@@ -358,12 +359,15 @@ def classify(
 
     ``group`` overrides the edge-action group (a PermGroup on labels); the
     default is the full color-preserving automorphism group.  Oversized
-    enumerations and graphs of more than 255 labels (``cleanify`` admits
-    256) are refused up front.  ``with_monodromy=False`` leaves the
+    enumerations are refused up front; ``BipartiteGraph`` already refused
+    more than 256 labels.  ``with_monodromy=False`` leaves the
     monodromy fields of every record None and skips the Schreier-Sims
     builds of the monodromy groups that are not certified giants.
+    ``threads`` bounds the worker processes of the monodromy groups; 0
+    means all cores, and a negative count raises ``ValueError``.
     """
-    _check_label_count(graph.e)
+    if threads < 0:
+        raise ValueError(f"threads {threads} is negative; 0 means all cores")
     total = graph.candidate_count()
     if total > budget:
         raise BudgetExceededError(total, budget)

@@ -82,10 +82,9 @@ def cmd_classify(args, out, err):
             if x < 1 or any(gcd(x, len(ls)) != 1 for ls in labels.values()):
                 raise GraphParseError(f"--wilson {args.wilson}: {x} is not a "
                                       f"positive exponent prime to every {side} degree")
-    threads = args.threads if args.threads else os.cpu_count() or 1
     report = classify(
         graph,
-        threads=threads,
+        threads=args.threads,
         budget=_budget(args, DEFAULT_BUDGET),
         duality_oracle=args.duality,
     )

@@ -68,8 +68,8 @@ from .rotation import _rotations
 
 DEFAULT_GENUS_BUDGET = 10**7
 
-# the subdivision's 2e labels, 0-based, must fit in a byte
-MAX_EDGES = (MAX_DEGREE + 1) // 2
+# the subdivision has two labels per edge
+MAX_EDGES = MAX_DEGREE // 2
 
 
 class GenusBudgetError(RuntimeError):

@@ -14,6 +14,8 @@ shape: with an indent, ``json`` falls back to its pure-Python encoder.
 ``parse_report`` checks every permutation string once per distinct string,
 by its label set: plain cycle text on distinct labels of 1..e is valid, and
 any other text goes to ``parse_cycles``, which accepts it or names the fault.
+It also checks the shape of every field the CSV and table writers read, so
+a report it accepts can be written in each format.
 """
 
 from __future__ import annotations
@@ -291,6 +293,9 @@ def parse_report(text):
                   "aut_group_order", "candidate_count"):
         if field not in graph:
             raise ReportFormatError(f"graph section missing {field!r}")
+    for field in ("black_degrees", "white_degrees"):
+        if type(graph[field]) is not list:
+            raise ReportFormatError(f"graph {field} is not a list")
     records = data.get("records")
     if not isinstance(records, list):
         raise ReportFormatError("missing records list")
@@ -318,10 +323,20 @@ def parse_report(text):
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ReportFormatError(f"record {i} is not an object")
-        for field in ("orbit_id", "sigma", "tau", "orbit_length", "aut_order",
-                      "genus", "passport", "monodromy_order", "mirror"):
+        for field in ("orbit_id", "sigma", "tau", "orbit_length", "aut_order", "genus",
+                      "passport", "monodromy_order", "regular", "uniform", "dualizable",
+                      "mirror"):
             if field not in rec:
                 raise ReportFormatError(f"record {i} missing {field!r}")
+        # the shapes the CSV and table writers read, checked field by field
+        passport, mirror = rec["passport"], rec["mirror"]
+        if type(passport) is not dict or not (
+                type(passport.get("black")) is type(passport.get("white"))
+                is type(passport.get("faces")) is list):
+            raise ReportFormatError(f"record {i}: passport is not three lists of degrees")
+        status = mirror.get("status") if type(mirror) is dict else None
+        if status != "reflexive" and (status != "chiral" or "partner_orbit_id" not in mirror):
+            raise ReportFormatError(f"record {i}: mirror is not reflexive or chiral with a partner")
         if not e_ok:
             raise ReportFormatError(f"record {i}: graph e {e!r} is not in 1..{MAX_DEGREE}")
         check_cycles(i, "sigma", rec["sigma"])
@@ -331,13 +346,9 @@ def parse_report(text):
             raise ReportFormatError(f"record {i}: aut_generators is not a list")
         for g in generators:
             check_cycles(i, "automorphism", g)
-        try:
-            if rec["monodromy_order"] is not None:
-                int(rec["monodromy_order"])
-        except (ValueError, TypeError) as exc:
-            raise ReportFormatError(
-                f"record {i}: bad monodromy_order {rec['monodromy_order']!r}"
-            ) from exc
+        order = rec["monodromy_order"]
+        if order is not None and (type(order) is not str or not order.isdecimal()):
+            raise ReportFormatError(f"record {i}: bad monodromy_order {order!r}")
     for field in ("genus_histogram", "dualizable_histogram"):
         if not isinstance(data.get(field), dict):
             raise ReportFormatError(f"missing {field}")

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 _IDENT256 = bytes(range(256))
 
-MAX_DEGREE = 255  # images are cached as bytes so labels must fit in one byte
+MAX_DEGREE = 256  # images are stored 0-based in bytes, so a byte holds 256 labels
 
 # the text of each 0-based label, and back to the 1-based label
-_LABELS = tuple(str(i + 1) for i in range(256))
-_VALUES = {text: i + 1 for i, text in enumerate(_LABELS[:MAX_DEGREE])}
+_LABELS = tuple(str(i + 1) for i in range(MAX_DEGREE))
+_VALUES = {text: i + 1 for i, text in enumerate(_LABELS)}
 
 
 class CycleParseError(ValueError):
@@ -128,8 +128,6 @@ def compose(p, q):
 
 def conjugate(p, g):
     """g^-1 p g; same cycle type as ``p``."""
-    if p.degree != g.degree:
-        raise ValueError(f"degree mismatch: {p.degree} != {g.degree}")
     return compose(compose(g.inverse(), p), g)
 
 
@@ -225,20 +223,21 @@ def parse_cycles(text, degree):
 
 
 def _plain_labels(text, degree):
-    """The labels of plain cycle text, as bytes, if distinct and in 1..degree; else None.
+    """The labels of plain cycle text, as ints, if distinct and in 1..degree; else None.
 
     Plain text is "(", then labels joined by "," within a cycle and ")("
     between cycles, then ")", as ``format_cycles`` writes it; each label is
     a key of ``_VALUES``, which leaves out "0", leading zeros, whitespace,
-    non-ASCII digits and labels past a byte.  Since a label is digits only,
-    such text is well formed, and ``parse_cycles`` accepts it exactly when
-    its labels are distinct and at most ``degree``.  Other text may still
-    parse ("()", whitespace) or not; ``parse_cycles`` decides.
+    non-ASCII digits and labels past ``MAX_DEGREE``.  Since a label is
+    digits only, such text is well formed, and ``parse_cycles`` accepts it
+    exactly when its labels are distinct and at most ``degree``.  Other
+    text may still parse ("()", whitespace) or not; ``parse_cycles``
+    decides.
     """
     if text[:1] != "(" or text[-1:] != ")":
         return None
     try:
-        labels = bytes(map(_VALUES.__getitem__, text[1:-1].replace(")(", ",").split(",")))
+        labels = tuple(map(_VALUES.__getitem__, text[1:-1].replace(")(", ",").split(",")))
     except KeyError:
         return None
     if len(set(labels)) != len(labels) or max(labels) > degree:

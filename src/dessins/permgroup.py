@@ -118,6 +118,19 @@ class _Level:
         self.orbit = {}   # point -> (u, u_inv), u maps base to point
 
 
+def _sift(levels, t, start=0):
+    """Strip the table ``t`` through ``levels[start:]``: the residue, and the
+    first level whose basic orbit misses its base point's image, or
+    ``len(levels)`` when ``t`` strips through them all."""
+    for j in range(start, len(levels)):
+        lv = levels[j]
+        entry = lv.orbit.get(t[lv.base])
+        if entry is None:
+            return t, j
+        t = t.translate(entry[1])
+    return t, len(levels)
+
+
 class PermGroup:
     """Group generated by permutations of a common degree.
 
@@ -208,15 +221,6 @@ class PermGroup:
                         lv.orbit[np] = (v, _invert(v, degree))
                         queue.append(np)
 
-        def strip(t, start):
-            for j in range(start, len(levels)):
-                lv = levels[j]
-                entry = lv.orbit.get(t[lv.base])
-                if entry is None:
-                    return t, j
-                t = t.translate(entry[1])
-            return t, len(levels)
-
         # first occurrences, in order, by hashing the tables
         gens0 = [t for t in dict.fromkeys(g._table for g in self.generators)
                  if t != ident]
@@ -252,7 +256,7 @@ class PermGroup:
                     sg = u.translate(s).translate(w_inv)
                     if sg == ident or sg in known:
                         continue
-                    residue, j = strip(sg, i + 1)
+                    residue, j = _sift(levels, sg, i + 1)
                     if residue == ident:
                         known.add(sg)
                         continue
@@ -290,13 +294,8 @@ class PermGroup:
         if p.degree != self.degree:
             raise ValueError(f"degree mismatch: {p.degree} != {self.degree}")
         self._build()
-        t = p._table
-        for lv in self._levels:
-            entry = lv.orbit.get(t[lv.base])
-            if entry is None:
-                return False
-            t = t.translate(entry[1])
-        return t[: self.degree] == _IDENT256[: self.degree]
+        residue, _ = _sift(self._levels, p._table)
+        return residue == _IDENT256
 
     def orbit(self, point):
         """Orbit of a 1-based point under the generators, as a sorted tuple."""

@@ -302,26 +302,28 @@ def path_graph(edges):
 
 
 def test_label_limit_of_bipartite_graphs():
-    graph = BipartiteGraph(*path_graph(255))
-    assert automorphism_group(graph).theta.order() == 1
+    # the path's reversal swaps its two black ends
+    graph = BipartiteGraph(*path_graph(256))
+    assert automorphism_group(graph).theta.order() == 2
     assert len(classify(graph, with_monodromy=False).records) == 1
-    with pytest.raises(GraphStructureError, match="^256 edges exceed the limit of 255 labels$"):
-        BipartiteGraph(*path_graph(256))
-    blacks, whites, edges = path_graph(256)
+    with pytest.raises(GraphStructureError, match="^257 edges exceed the limit of 256 labels$"):
+        BipartiteGraph(*path_graph(257))
+    blacks, whites, edges = path_graph(257)
     text = "black " + " ".join(blacks) + "\nwhite " + " ".join(whites) + "\n"
     text += "".join(f"edge {l} {b} {w}\n" for l, b, w in edges)
-    with pytest.raises(GraphParseError, match="^256 edges exceed the limit of 255 labels$"):
+    with pytest.raises(GraphParseError, match="^257 edges exceed the limit of 256 labels$"):
         parse_bipartite(text)
 
 
-def test_automorphisms_refuse_a_subdivision_of_256_labels():
-    # cleanify admits 256 labels for the genus search; permutations hold 255
+def test_automorphisms_accept_a_subdivision_of_256_labels():
+    # the genus search's largest subdivision is an ordinary bipartite graph
     ids = [f"v{i}" for i in range(129)]
     path = PlainGraph(ids, [(i, ids[i - 1], ids[i]) for i in range(1, 129)])
     clean = cleanify(path)
-    for search in (automorphism_group, lambda g: classify(g, with_monodromy=False)):
-        with pytest.raises(GraphStructureError, match="^256 edges exceed the limit of 255 labels$"):
-            search(clean)
+    assert clean.e == 256
+    # the reversal of the path is its one nontrivial automorphism
+    assert automorphism_group(clean).theta.order() == 2
+    assert len(classify(clean, with_monodromy=False).records) == 1
     assert (genus_range(path).mu, genus_range(path).nu) == (0, 0)
 
 

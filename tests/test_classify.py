@@ -370,29 +370,10 @@ def test_stabilizer_elements_are_listed_by_table(name):
         assert line in out.getvalue().splitlines()
 
 
-def test_census_pool_bounded_by_cores_and_chunks(monkeypatch):
-    # the fake pool records its size and chunk size and runs the jobs
-    # inline: nothing forks
-    import multiprocessing
+def test_census_pool_bounded_by_cores_and_chunks(monkeypatch, inline_pool):
     import os
 
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, processes):
-            self.processes = processes
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize):
-            sizes.append((self.processes, chunksize))
-            return [fn(job) for job in jobs]
-
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InlinePool)
+    sizes = inline_pool
     graph = load_bipartite("a4_clean.bg")
     # 16 candidate pairs, each its own orbit; invariants are computed once
     # per mirror class, so there are at most that many monodromy workers
@@ -402,10 +383,12 @@ def test_census_pool_bounded_by_cores_and_chunks(monkeypatch):
     classes = sum(rec.mirror_partner is None or rec.orbit_id < rec.mirror_partner
                   for rec in report.records)
     assert (len(report.records), classes) == (16, 8)
-    # 6 threads on 8 classes take chunks of 2, so only 4 workers fork
+    # 6 threads on 8 classes take chunks of 2, so only 4 workers fork;
+    # 0 threads means all cores
     for cores, threads, expected in ((8, 50000, [(8, 1)]), (64, 50000, [(classes, 1)]),
                                      (8, 3, [(3, 3)]), (8, 6, [(4, 2)]),
-                                     (None, 50000, []), (1, 4, [])):
+                                     (None, 50000, []), (1, 4, []),
+                                     (8, 0, [(8, 1)]), (3, 0, [(3, 3)]), (None, 0, [])):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         sizes.clear()
         report = classify(graph, threads=threads, group=trivial)
@@ -418,6 +401,10 @@ def test_census_pool_bounded_by_cores_and_chunks(monkeypatch):
             sizes.clear()
             classify(graph, threads=threads, group=trivial, with_monodromy=False)
             assert sizes == []
+    for threads in (-1, -50000):
+        with pytest.raises(ValueError, match=f"^threads {threads} is negative; 0 means all cores$"):
+            classify(graph, threads=threads, group=trivial)
+    assert sizes == []
 
 
 def test_import_loads_no_process_pool():

@@ -54,6 +54,31 @@ def test_classify_zero_threads_means_all_cores():
     assert out == run(["classify", fixture_path("k33.bg"), "--emit", "json", "--threads", "1"])[1]
 
 
+def test_classify_threads_passed_through(monkeypatch, inline_pool):
+    # the library owns the rule: 0 means all cores, with the same pool as
+    # that many threads; one thread forks nothing
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    outs = []
+    for threads in ("0", "2", "1"):
+        inline_pool.clear()
+        code, out, err = run(["classify", fixture_path("k33.bg"), "--emit", "json",
+                              "--threads", threads])
+        assert (code, err) == (0, "")
+        outs.append(out)
+        assert [processes for processes, _ in inline_pool] == ([] if threads == "1" else [2])
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("name", ["k5_clean.bg", "double_prism.bg"])
+def test_duality_oracle_refuses_past_its_cap(name):
+    # the oracle lists each monodromy group; these reach more than 10^6
+    # elements, so the run is refused, not shortened by skipping records
+    code, out, err = run(["classify", fixture_path(name), "--duality"])
+    assert (code, out, err) == (3, "", "error: monodromy group exceeds oracle cap 1000000\n")
+
+
 def test_classify_csv_counts():
     code, out, _ = run(["classify", fixture_path("d33.bg"), "--emit", "csv"])
     assert code == 0
@@ -398,11 +423,11 @@ def path_file(tmp_path, edges, bipartite):
 
 def test_label_limit_of_bipartite_graphs(tmp_path):
     for command in (["classify"], ["autgroup"]):
-        code, out, err = run(command + [path_file(tmp_path, 255, True)])
-        assert code == 0 and out and err == ""
         code, out, err = run(command + [path_file(tmp_path, 256, True)])
+        assert code == 0 and out and err == ""
+        code, out, err = run(command + [path_file(tmp_path, 257, True)])
         assert (code, out) == (2, "")
-        assert err == "error: 256 edges exceed the limit of 255 labels\n"
+        assert err == "error: 257 edges exceed the limit of 256 labels\n"
 
 
 def test_edge_limit_of_genus_range(tmp_path):

@@ -18,6 +18,14 @@ import cycles_oracle
 from conftest import EVERY_BG_REPORT, load_bipartite
 
 
+def parse_and_write(text):
+    """``parse_report`` of ``text``, once its document writes as CSV and table."""
+    doc = parse_report(text)
+    serialize_document(doc, "csv")
+    serialize_document(doc, "table")
+    return doc
+
+
 def test_json_round_trip(a4_report):
     text = serialize_report(a4_report.report, "json")
     doc = parse_report(text)
@@ -192,6 +200,74 @@ def test_parse_rejects_malformed_values_with_record_index(k33_report, corrupt, v
         parse_report(json.dumps(doc))
 
 
+def _del_record_field(field):
+    def corrupt(doc, value):
+        del doc["records"][0][field]
+    return corrupt
+
+
+def _set_record_field(field):
+    def corrupt(doc, value):
+        doc["records"][0][field] = value
+    return corrupt
+
+
+def _set_graph_field(field):
+    def corrupt(doc, value):
+        doc["graph"][field] = value
+    return corrupt
+
+
+PASSPORT = "^record 0: passport is not three lists of degrees$"
+MIRROR = "^record 0: mirror is not reflexive or chiral with a partner$"
+
+
+# each of these parsed before, and then made the CSV or the table writer raise
+@pytest.mark.parametrize("corrupt, value, message", [
+    (_del_record_field("regular"), None, "^record 0 missing 'regular'$"),
+    (_del_record_field("uniform"), None, "^record 0 missing 'uniform'$"),
+    (_del_record_field("dualizable"), None, "^record 0 missing 'dualizable'$"),
+    (_set_record_field("passport"), "(2^3;3^2;6)", PASSPORT),
+    (_set_record_field("passport"), {"black": [2, 2, 2], "white": [3, 3]}, PASSPORT),
+    (_set_record_field("passport"), {"black": 2, "white": [3, 3], "faces": [6]}, PASSPORT),
+    (_set_record_field("mirror"), {}, MIRROR),
+    (_set_record_field("mirror"), "reflexive", MIRROR),
+    (_set_record_field("mirror"), {"status": "chiral"}, MIRROR),
+    (_set_record_field("mirror"), {"status": "twisted", "partner_orbit_id": 1}, MIRROR),
+    (_set_record_field("monodromy_order"), 12, "^record 0: bad monodromy_order 12$"),
+    (_set_record_field("monodromy_order"), "", "^record 0: bad monodromy_order ''$"),
+    (_set_graph_field("black_degrees"), 3, "^graph black_degrees is not a list$"),
+    (_set_graph_field("white_degrees"), "3,3", "^graph white_degrees is not a list$"),
+], ids=[
+    "no-regular", "no-uniform", "no-dualizable", "passport-text", "passport-without-faces",
+    "passport-int-list", "mirror-empty", "mirror-text", "chiral-without-partner",
+    "mirror-unknown-status", "monodromy-order-int", "monodromy-order-empty",
+    "black-degrees-int", "white-degrees-text",
+])
+def test_parse_rejects_what_the_writers_cannot_write(k33_report, corrupt, value, message):
+    doc = json.loads(serialize_report(k33_report.report, "json"))
+    corrupt(doc, value)
+    with pytest.raises(ReportFormatError, match=message):
+        parse_report(json.dumps(doc))
+    # a report without records reads no record field
+    if message.startswith("^graph"):
+        doc["records"] = []
+        with pytest.raises(ReportFormatError, match=message):
+            parse_report(json.dumps(doc))
+
+
+def test_parse_accepts_what_the_writers_can_write(k33_report):
+    doc = json.loads(serialize_report(k33_report.report, "json"))
+    rec = doc["records"][0]
+    rec["mirror"] = {"status": "chiral", "partner_orbit_id": 1}
+    rec["monodromy_order"] = None
+    rec["passport"] = {"black": [], "white": ["x"], "faces": [[1]]}
+    doc["records"][1]["mirror"] = {"status": "reflexive", "partner_orbit_id": 0}
+    doc["graph"]["black_degrees"] = []
+    row = serialize_document(parse_and_write(json.dumps(doc)), "csv").splitlines()[1].split(",")
+    assert (row[4], row[5], row[9]) == ("", '"(;x;[1])"', "chiral->1")
+
+
 @pytest.mark.parametrize("path, message", [
     (None, "top level must be an object"),
     (("graph",), "missing graph section"),
@@ -223,10 +299,10 @@ def test_serialize_rejects_unknown_format(k33_report):
 def test_parse_rejects_bad_graph_e_without_records(k33_report):
     doc = json.loads(serialize_report(k33_report.report, "json"))
     doc["records"] = []
-    assert parse_report(json.dumps(doc)).records == []
-    for value in ("zz", 0, 256, None):
+    assert parse_and_write(json.dumps(doc)).records == []
+    for value in ("zz", 0, 257, None):
         doc["graph"]["e"] = value
-        with pytest.raises(ReportFormatError, match=r"^graph e .* is not in 1\.\.255$"):
+        with pytest.raises(ReportFormatError, match=r"^graph e .* is not in 1\.\.256$"):
             parse_report(json.dumps(doc))
 
 
@@ -235,7 +311,7 @@ def test_parse_checks_a_repeated_string_in_every_record(frucht_light_report):
     # a clean graph has one tau, which every record repeats
     assert len({r["tau"] for r in doc["records"]}) == 1
     doc["records"][5]["sigma"] = doc["records"][3]["sigma"]
-    parse_report(json.dumps(doc))
+    parse_and_write(json.dumps(doc))
     doc["records"][7]["tau"] = doc["records"][3]["sigma"] + "(1,2)"
     with pytest.raises(ReportFormatError, match="^record 7: bad tau cycle string"):
         parse_report(json.dumps(doc))
@@ -263,7 +339,7 @@ def test_parse_report_checks_a_cycle_string_as_the_character_walk(k33_report, te
     except ValueError as exc:
         expected = f"record 0: bad sigma cycle string: {exc}"
     try:
-        parse_report(json.dumps(doc))
+        parse_and_write(json.dumps(doc))
         outcome = None
     except ReportFormatError as exc:
         outcome = str(exc)

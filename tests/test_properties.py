@@ -20,11 +20,15 @@ to the character walk of ``cycles_oracle`` on random text, well formed or
 not, ``format_cycles`` and ``cycle_type`` to its label-by-label walk, and
 the plain-text shortcut of ``parse_report`` (``perm._plain_labels``) to
 both: it takes only text the walk accepts, and all of ``format_cycles``.
+A report with any one field replaced or deleted is either refused by
+``parse_report`` or written by the CSV and table writers.
 """
 
 import itertools
+import json
 import math
 from collections import Counter
+from functools import cache
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -46,18 +50,20 @@ from dessins import (
     local_rotations,
     mirror,
     parse_cycles,
+    parse_report,
     serialize_report,
     stabilizer,
     wilson_orbit_targets,
 )
 from dessins.bgraph import _vertex_automorphisms
 from dessins.classify import _Action, _check_keeps_family
+from dessins.io import ReportFormatError, serialize_document
 from dessins.perm import MAX_DEGREE, Permutation, _plain_labels
 from dessins.rotation import CycleText, _Radix
 
 import cycles_oracle
 import genus_oracle
-from conftest import closure
+from conftest import closure, load_bipartite
 
 # N * |G| act calls per Burnside count; keeps each example well under 0.1 s
 MAX_WORK = 3000
@@ -422,7 +428,7 @@ def parse_outcome(parse, text, degree):
 
 
 @settings(seeded, max_examples=1000)
-@given(cycle_texts(), st.one_of(st.integers(0, 14), st.sampled_from([255, 256])))
+@given(cycle_texts(), st.one_of(st.integers(0, 14), st.sampled_from([255, 256, 257])))
 def test_parse_cycles_agrees_with_character_walk(text, degree):
     expected = parse_outcome(cycles_oracle.parse_cycles, text, degree)
     assert parse_outcome(parse_cycles, text, degree) == expected
@@ -435,7 +441,7 @@ def test_parse_cycles_agrees_with_character_walk(text, degree):
 
 
 @seeded
-@given(st.integers(1, 255).flatmap(lambda n: st.permutations(range(1, n + 1))))
+@given(st.integers(1, MAX_DEGREE).flatmap(lambda n: st.permutations(range(1, n + 1))))
 def test_format_cycles_agrees_with_label_walk(images):
     p = Permutation(images)
     text = format_cycles(p)
@@ -446,7 +452,51 @@ def test_format_cycles_agrees_with_label_walk(images):
 
 
 @seeded
-@given(st.integers(1, 255).flatmap(lambda n: st.permutations(range(1, n + 1))))
+@given(st.integers(1, MAX_DEGREE).flatmap(lambda n: st.permutations(range(1, n + 1))))
 def test_cycle_type_agrees_with_label_walk(images):
     p = Permutation(images)
     assert cycle_type(p) == tuple(sorted(cycles_oracle.cycle_lengths(p)))
+
+
+@cache
+def k33_report_text():
+    return serialize_report(classify(load_bipartite("k33.bg")), "json")
+
+
+def report_fields():
+    """Paths to every field the writers may read in k33's report."""
+    doc = json.loads(k33_report_text())
+    rec = doc["records"][0]
+    return ([("graph", k) for k in doc["graph"]] + [("records", 0, k) for k in rec]
+            + [("records", 0, "passport", k) for k in rec["passport"]]
+            + [("records", 0, "mirror", k) for k in ("status", "partner_orbit_id")])
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 300) | st.text("0123456789(),ab", max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["status", "partner_orbit_id", "black", "white", "faces"]),
+                      inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(seeded, max_examples=400)
+@given(st.deferred(lambda: st.sampled_from(report_fields())),
+       st.one_of(st.just(KeyError), json_values))
+def test_a_report_parse_accepts_is_written_as_csv_and_table(path, value):
+    doc = json.loads(k33_report_text())
+    *parents, last = path
+    section = doc
+    for key in parents:
+        section = section[key]
+    if value is KeyError:
+        section.pop(last, None)
+    else:
+        section[last] = value
+    try:
+        parsed = parse_report(json.dumps(doc))
+    except ReportFormatError:
+        return
+    serialize_document(parsed, "csv")
+    serialize_document(parsed, "table")
