@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import compress, repeat
 from math import ceil
-from operator import add, itemgetter
+from operator import add
 
 from .bgraph import BipartiteGraph, EdgeActionGroup, automorphism_group
 from .dessin import invariants, dualizable_oracle, wilson
@@ -85,27 +85,25 @@ class ClassificationReport:
 class _Action:
     """Conjugation g^-1 t g of label tables by every element g of a group.
 
-    Each element is kept once, as the ``e`` image bytes of its inverse
-    followed by its own 256-byte table, so one conjugate is
-    ``ginv.translate(t).translate(g)`` and is ``e`` bytes long.  The
-    elements are listed in increasing order of their tables, whatever
-    order they arrive in, so each result that follows element order
-    depends on the group alone, not on its generating set.  The identity
-    comes first: any other table first differs from it at some i, where it
-    holds an image above i, the labels below i being taken.
+    Each element is kept once, as the pair of the ``e`` image bytes of its
+    inverse and its own 256-byte table, from ``PermGroup._tables``, so one
+    conjugate is ``ginv.translate(t).translate(g)`` and is ``e`` bytes
+    long.  The elements are listed in increasing order of their tables,
+    whatever order the group lists them in, so each result that follows
+    element order depends on the group alone, not on its generating set.
+    The identity comes first: any other table first differs from it at
+    some i, where it holds an image above i, the labels below i being
+    taken.
     """
 
     __slots__ = ("e", "pad", "elems")
 
-    def __init__(self, elements, e):
+    def __init__(self, group, e):
+        if group.degree != e:
+            raise ValueError(f"degree mismatch: {e} != {group.degree}")
         self.e = e
         self.pad = _IDENT256[e:]
-        self.elems = []
-        for g in elements:
-            if g.degree != e:
-                raise ValueError(f"degree mismatch: {e} != {g.degree}")
-            self.elems.append((_invert(g._table, e)[:e], g._table))
-        self.elems.sort(key=itemgetter(1))
+        self.elems = [(_invert(g, e)[:e], g) for g in sorted(group._tables())]
 
     def images(self, t):
         """The conjugates of one table (of at least ``e`` bytes), in element order."""
@@ -149,7 +147,7 @@ def act(phi_edge, pair):
 
 def canonical_form(pair, group):
     """The lexicographically least conjugate pair; constant on each orbit."""
-    action = _Action(_theta(group).elements(), pair.sigma.degree)
+    action = _Action(_theta(group), pair.sigma.degree)
     s, t = action.least(pair.sigma._table, pair.tau._table)
     return _pair_from_tables(s, t, pair.graph)
 
@@ -162,7 +160,7 @@ def stabilizer(pair, group):
     set the group was given by.
     """
     e = pair.sigma.degree
-    action = _Action(_theta(group).elements(), e)
+    action = _Action(_theta(group), e)
     s, t = pair.sigma._table[:e], pair.tau._table[:e]
     # the generators are all the fixing elements, so their count is the order
     count, generators = action.fixing(list(zip(action.images(s), action.images(t))), (s, t))
@@ -201,14 +199,13 @@ def _ranker(radix, action):
     The conjugate of t by g is ``ginv.translate(t).translate(g)``, so a
     rank group reads the images of its labels ``gather`` under it as
     ``gather.translate(ginv).translate(t).translate(g)``.  The first
-    translate is made here, once per group and element; the rest runs in
-    ``map``, in element order.
+    translate is made here, once per group and element, by the inverse
+    padded to 256 bytes; the rest runs in ``map``, in element order.
     """
     pad = action.pad
     tables = [g for _, g in action.elems]
-    inverses = [ginv + pad for ginv, _ in action.elems]
     groups = [
-        (side, terms.__getitem__, [gather.translate(ginv) for ginv in inverses])
+        (side, terms.__getitem__, [gather.translate(ginv + pad) for ginv, _ in action.elems])
         for side, gather, terms, _ in radix.groups
     ]
     translate = bytes.translate
@@ -374,7 +371,7 @@ def classify(
     if group is None:
         group = automorphism_group(graph)
     theta = _theta(group)
-    action = _Action(theta.elements(), graph.e)
+    action = _Action(theta, graph.e)
     group_order = len(action.elems)
     _check_keeps_family(graph, theta)
 
@@ -439,7 +436,7 @@ def classify(
 def wilson_orbit_targets(report, r, s):
     """Map each orbit to the orbit hit by the (r, s) power operation."""
     e = report.graph.e
-    action = _Action(report.theta.elements(), e)
+    action = _Action(report.theta, e)
     key_to_orbit = {
         (
             rec.representative.sigma._table[:e],

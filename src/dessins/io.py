@@ -320,6 +320,7 @@ def parse_report(text):
                 ) from exc
         checked.add(text)
 
+    ids = {}  # orbit_id -> record index
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ReportFormatError(f"record {i} is not an object")
@@ -337,6 +338,13 @@ def parse_report(text):
         status = mirror.get("status") if type(mirror) is dict else None
         if status != "reflexive" and (status != "chiral" or "partner_orbit_id" not in mirror):
             raise ReportFormatError(f"record {i}: mirror is not reflexive or chiral with a partner")
+        orbit_id = rec["orbit_id"]
+        if type(orbit_id) is not int:
+            raise ReportFormatError(f"record {i}: orbit_id {orbit_id!r} is not an int")
+        if ids.setdefault(orbit_id, i) != i:
+            raise ReportFormatError(
+                f"record {i}: orbit_id {orbit_id} is also that of record {ids[orbit_id]}"
+            )
         if not e_ok:
             raise ReportFormatError(f"record {i}: graph e {e!r} is not in 1..{MAX_DEGREE}")
         check_cycles(i, "sigma", rec["sigma"])
@@ -349,6 +357,20 @@ def parse_report(text):
         order = rec["monodromy_order"]
         if order is not None and (type(order) is not str or not order.isdecimal()):
             raise ReportFormatError(f"record {i}: bad monodromy_order {order!r}")
+    # chiral partners come in pairs: each names another chiral record, which
+    # names it back
+    for i, rec in enumerate(records):
+        mirror = rec["mirror"]
+        if mirror["status"] == "chiral":
+            partner = mirror["partner_orbit_id"]
+            # i itself when the partner names no other record
+            j = ids.get(partner, i) if type(partner) is int else i
+            back = records[j]["mirror"]
+            if j == i or back["status"] != "chiral" or back["partner_orbit_id"] != rec["orbit_id"]:
+                raise ReportFormatError(
+                    f"record {i}: partner_orbit_id {partner!r} names no other chiral "
+                    f"record whose partner is this one"
+                )
     for field in ("genus_histogram", "dualizable_histogram"):
         if not isinstance(data.get(field), dict):
             raise ReportFormatError(f"missing {field}")

@@ -18,9 +18,10 @@ skips the certificate.
 
 from __future__ import annotations
 
-from math import factorial, prod
+from itertools import repeat
+from math import factorial, isqrt, prod
 
-from .perm import Permutation, _IDENT256, _invert, is_even
+from .perm import MAX_DEGREE, Permutation, _IDENT256, _invert, is_even
 
 DEFAULT_ELEMENTS_CAP = 10**6
 
@@ -36,8 +37,9 @@ class CapExceededError(RuntimeError):
 
 # -- giant certificate ------------------------------------------------------
 
-def _is_prime(n):
-    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+# the primes up to the largest degree, for the certificate's prime ranges
+_PRIMES = tuple(p for p in range(2, MAX_DEGREE + 1)
+                if all(p % d for d in range(2, isqrt(p) + 1)))
 
 
 def _certificate_words(generators):
@@ -100,7 +102,7 @@ def _jordan_order(group):
     check that fails declines, never guesses.
     """
     n = group.degree
-    primes = {p for p in range(n // 2 + 1, n - 2) if _is_prime(p)}
+    primes = {p for p in _PRIMES if n // 2 < p <= n - 3}
     if not primes or not group.is_transitive():
         return None
     words = _certificate_words(group.generators)
@@ -321,26 +323,36 @@ class PermGroup:
     def point_stabilizer_order(self, point):
         return self.order() // len(self.orbit(point))
 
-    def elements(self):
-        """Every element exactly once; refuses more than ``DEFAULT_ELEMENTS_CAP``."""
+    def _tables(self):
+        """The 256-byte table of every element exactly once; refuses more
+        than ``DEFAULT_ELEMENTS_CAP`` at the first ``next``.
+
+        Each table is the product of one transversal element per level,
+        from the deepest level to the first.  The tables are listed by the
+        basic orbit points of those elements, in increasing order, the
+        deepest level's first, so siblings share the product of a prefix.
+        """
         n = self.order()
         if n > DEFAULT_ELEMENTS_CAP:
             raise CapExceededError(
                 f"group order {n} exceeds enumeration cap {DEFAULT_ELEMENTS_CAP}"
             )
         self._build()
-        degree = self.degree
-        levels = self._levels
+        transversals = [[lv.orbit[pt][0] for pt in sorted(lv.orbit)] for lv in self._levels]
 
         def rec(i, acc):
             if i < 0:
-                yield Permutation._from_table(acc, degree)
+                yield acc
                 return
-            for pt in sorted(levels[i].orbit):
-                u, _ = levels[i].orbit[pt]
+            for u in transversals[i]:
                 yield from rec(i - 1, acc.translate(u))
 
-        yield from rec(len(levels) - 1, _IDENT256)
+        yield from rec(len(transversals) - 1, _IDENT256)
+
+    def elements(self):
+        """Every element exactly once, as a ``Permutation``, in ``_tables``
+        order; refuses more than ``DEFAULT_ELEMENTS_CAP`` at the first ``next``."""
+        return map(Permutation._from_table, self._tables(), repeat(self.degree))
 
     def all_generators_even(self):
         return all(map(is_even, self.generators))

@@ -2,10 +2,13 @@
 
 import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
 import byte_gate
+import dessins
 from dessins import parse_cycles
 from conftest import closure, load_bipartite
 
@@ -27,6 +30,20 @@ def test_output_bytes_match_pinned_digest_at_two_threads(name, run):
     # only these cases take a thread count; the CLI's classify runs, which
     # compute monodromy groups, fork a pool on a host of two or more cores
     assert byte_gate.digest(run) == PINNED[name]
+
+
+@pytest.mark.parametrize("seed", ["0", "31337"])
+def test_byte_gate_script_matches_under_hash_seed(seed):
+    # the whole matrix in a child interpreter with a fixed hash seed, as
+    # ``python tests/byte_gate.py`` runs it by hand
+    src = os.path.dirname(os.path.dirname(dessins.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, byte_gate.__file__], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, (proc.stdout + proc.stderr)[-2000:]
+    assert proc.stdout == f"{len(PINNED)} of {len(PINNED)} digests match\n"
 
 
 def test_matrix_covers_every_pinned_digest():

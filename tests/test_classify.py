@@ -193,6 +193,27 @@ BG_FIXTURES = ("a4_clean", "bundle6", "c33", "d33", "double_prism", "frucht_clea
 BURNSIDE = {"double_prism": (1042, 447), "k44": (3008, 1318)}
 
 
+def test_nine_leaf_star_within_memory():
+    # |G| = 9! = 362880: the action holds one table and one e-byte inverse
+    # per element, and no other copy of G
+    code, out, err = run_capped(
+        "import resource\n"
+        "from dessins import classify, parse_bipartite\n"
+        f"report = classify(parse_bipartite({star_text(9)!r}), with_monodromy=False)\n"
+        "print([(r.orbit_length, r.aut_order) for r in report.records])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss < 256 * 1024)\n",
+        cpu_seconds=60,
+    )
+    assert code == 0, err[-2000:]
+    assert out == "[(40320, 9)]\nTrue\n"
+
+
+def test_action_refuses_a_group_of_another_degree():
+    group = automorphism_group(load_bipartite("k33.bg")).theta
+    with pytest.raises(ValueError, match="^degree mismatch: 10 != 9$"):
+        _Action(group, 10)
+
+
 @pytest.mark.parametrize("name", BG_FIXTURES)
 def test_mirror_partner_is_the_orbit_of_the_mirror(name):
     # the census pairs orbits by rank; here each partner is found again as
@@ -201,7 +222,7 @@ def test_mirror_partner_is_the_orbit_of_the_mirror(name):
     # builds it per call, about 2 ms each on K_{4,4})
     report = classify(load_bipartite(name + ".bg"), with_monodromy=False)
     e = report.graph.e
-    least = _Action(report.theta.elements(), e).least
+    least = _Action(report.theta, e).least
     orbit_of = {
         (rec.representative.sigma._table[:e], rec.representative.tau._table[:e]): rec.orbit_id
         for rec in report.records

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -26,12 +27,14 @@ def parse_and_write(text):
     return doc
 
 
-def test_json_round_trip(a4_report):
-    text = serialize_report(a4_report.report, "json")
-    doc = parse_report(text)
-    assert serialize_document(doc, "json") == text
-    again = parse_report(serialize_document(doc, "json"))
-    assert again == doc
+def test_json_round_trip(request):
+    # every fixture's report, chiral partners among them
+    for name in EVERY_BG_REPORT:
+        text = serialize_report(request.getfixturevalue(name).report, "json")
+        doc = parse_report(text)
+        assert serialize_document(doc, "json") == text
+        again = parse_report(serialize_document(doc, "json"))
+        assert again == doc
 
 
 def test_json_writer_equals_json_dumps_on_every_fixture(request):
@@ -263,9 +266,58 @@ def test_parse_accepts_what_the_writers_can_write(k33_report):
     rec["monodromy_order"] = None
     rec["passport"] = {"black": [], "white": ["x"], "faces": [[1]]}
     doc["records"][1]["mirror"] = {"status": "reflexive", "partner_orbit_id": 0}
+    # record 0's partner, orbit 1, names it back
+    doc["records"][2]["mirror"] = {"status": "chiral", "partner_orbit_id": 3}
     doc["graph"]["black_degrees"] = []
     row = serialize_document(parse_and_write(json.dumps(doc)), "csv").splitlines()[1].split(",")
     assert (row[4], row[5], row[9]) == ("", '"(;x;[1])"', "chiral->1")
+
+
+def test_parse_refuses_repeated_ids_and_unpaired_partners(k33_report):
+    # k33's records 0, 1 and 2 hold orbits 3, 0 and 1, all reflexive
+    doc = json.loads(serialize_report(k33_report.report, "json"))
+    records = doc["records"]
+    records[0]["mirror"] = {"status": "chiral", "partner_orbit_id": 999}
+    records[1]["orbit_id"] = records[2]["orbit_id"]
+    with pytest.raises(ReportFormatError, match="^record 2: orbit_id 1 is also that of record 1$"):
+        parse_report(json.dumps(doc))
+    records[1]["orbit_id"] = 0
+    with pytest.raises(ReportFormatError, match="^record 0: partner_orbit_id 999 names no other"):
+        parse_report(json.dumps(doc))
+
+
+UNPAIRED = "names no other chiral record whose partner is this one$"
+
+
+@pytest.mark.parametrize("mirrors, message", [
+    # record 0 names itself
+    ({0: ("chiral", 3)}, f"^record 0: partner_orbit_id 3 {UNPAIRED}"),
+    # record 0 names orbit 1, which is reflexive
+    ({0: ("chiral", 1)}, f"^record 0: partner_orbit_id 1 {UNPAIRED}"),
+    # record 0 names orbit 0, whose partner is orbit 1
+    ({0: ("chiral", 0), 1: ("chiral", 1), 2: ("chiral", 0)},
+     f"^record 0: partner_orbit_id 0 {UNPAIRED}"),
+    # orbit 0 names record 0 back with an id that is not an int
+    ({0: ("chiral", 0), 1: ("chiral", 3.0)}, f"^record 1: partner_orbit_id 3.0 {UNPAIRED}"),
+    ({0: ("chiral", True), 2: ("chiral", 3)}, f"^record 0: partner_orbit_id True {UNPAIRED}"),
+    ({0: ("chiral", "1"), 2: ("chiral", 3)}, f"^record 0: partner_orbit_id '1' {UNPAIRED}"),
+    ({0: ("chiral", [1])}, rf"^record 0: partner_orbit_id \[1\] {UNPAIRED}"),
+])
+def test_parse_refuses_chiral_partners_that_do_not_pair(k33_report, mirrors, message):
+    doc = json.loads(serialize_report(k33_report.report, "json"))
+    for i, (status, partner) in mirrors.items():
+        doc["records"][i]["mirror"] = {"status": status, "partner_orbit_id": partner}
+    with pytest.raises(ReportFormatError, match=message):
+        parse_report(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, "1", None, [1]])
+def test_parse_refuses_an_orbit_id_that_is_not_an_int(k33_report, value):
+    doc = json.loads(serialize_report(k33_report.report, "json"))
+    doc["records"][0]["orbit_id"] = value
+    message = f"^record 0: orbit_id {re.escape(repr(value))} is not an int$"
+    with pytest.raises(ReportFormatError, match=message):
+        parse_report(json.dumps(doc))
 
 
 @pytest.mark.parametrize("path, message", [

@@ -15,10 +15,11 @@ from dessins import (
     parse_cycles,
 )
 from dessins.dessin import is_dualizable
-from dessins.perm import Permutation, _IDENT256, _invert, random_permutation
+from dessins.perm import MAX_DEGREE, Permutation, _IDENT256, _invert, random_permutation
 from dessins.permgroup import (
     CERTIFICATE_SLOTS,
     CERTIFICATE_WORDS,
+    _PRIMES,
     _certificate_words,
     _has_cycle_of_length,
     _jordan_order,
@@ -151,6 +152,20 @@ def test_elements_stream():
     with pytest.raises(CapExceededError,
                        match="group order 3628800 exceeds enumeration cap 1000000"):
         next(s10.elements())
+
+
+def test_tables_stream_the_tables_of_elements_in_order():
+    for gens, n in ((corpus.K33["etas"], 9), (["(1,2,3,4,5,6,7,8)", "(1,2)"], 8)):
+        g = group_from_generators([P(s, n) for s in gens])
+        tables = list(g._tables())
+        assert tables == [p._table for p in g.elements()]
+        assert len(set(tables)) == g.order() and _IDENT256 in tables
+    assert list(PermGroup([], degree=5)._tables()) == [_IDENT256]
+    s10 = group_from_generators([P("(1,2,3,4,5,6,7,8,9,10)", 10), P("(1,2)", 10)])
+    tables = s10._tables()  # no refusal before the first next
+    with pytest.raises(CapExceededError,
+                       match="^group order 3628800 exceeds enumeration cap 1000000$"):
+        next(tables)
 
 
 def test_elements_refuses_a_non_giant_above_the_cap_before_the_first_element():
@@ -300,6 +315,13 @@ def test_certificate_declines_non_giants(gens, n, order):
     g = group_from_generators(gens)
     assert _jordan_order(g) is None
     assert g.order() == order == len(closure(gens)) == sympy_order(gens)
+
+
+def test_certificate_primes_are_every_prime_up_to_the_largest_degree():
+    # a prime has exactly two divisors
+    divisors = [sum(n % d == 0 for d in range(1, n + 1)) for n in range(MAX_DEGREE + 1)]
+    assert _PRIMES == tuple(n for n in range(MAX_DEGREE + 1) if divisors[n] == 2)
+    assert (len(_PRIMES), _PRIMES[-1]) == (54, 251)
 
 
 def test_cycle_scan_reaches_a_last_cycle_of_eligible_length():

@@ -319,7 +319,7 @@ def test_coprime_wilson_powers_permute_the_orbits(graph, r, s):
 @given(small_graphs(), st.data())
 def test_least_conjugate_is_the_least_pair_image(graph, data):
     # least() conjugates tau only by the elements giving the least sigma
-    action = _Action(automorphism_group(graph).theta.elements(), graph.e)
+    action = _Action(automorphism_group(graph).theta, graph.e)
     radix = _Radix(graph)
     s, t = radix.unrank(data.draw(st.integers(0, radix.total - 1)))
     assert action.least(s, t) == min(zip(action.images(s), action.images(t)))
