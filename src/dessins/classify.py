@@ -36,7 +36,7 @@ from math import ceil
 from operator import add
 
 from .bgraph import BipartiteGraph, EdgeActionGroup, automorphism_group
-from .dessin import invariants, dualizable_oracle, wilson
+from .dessin import invariants, dualizable_oracle, mirror, wilson
 from .perm import Permutation, _IDENT256, _invert, conjugate, format_cycles
 from .permgroup import PermGroup
 from .rotation import InternalInvariantError, RotationPair, _Radix, _pair_from_tables
@@ -133,6 +133,15 @@ class _Action:
         tables = [g for (_, g), image in zip(self.elems, images) if image == key]
         return len(tables), tuple(Permutation._from_table(g, self.e) for g in tables[1:])
 
+    def stabilizer(self, s, t):
+        """The elements fixing the pair of tables (s, t), as a group whose
+        generators are all of them but the identity, in element order."""
+        e = self.e
+        s, t = s[:e], t[:e]
+        # the generators are all the fixing elements, so their count is the order
+        count, generators = self.fixing(list(zip(self.images(s), self.images(t))), (s, t))
+        return PermGroup(generators, degree=e, order_bound=count)
+
 
 def _theta(group):
     return group.theta if isinstance(group, EdgeActionGroup) else group
@@ -159,12 +168,19 @@ def stabilizer(pair, group):
     increasing order of their tables (``_Action``), whatever generating
     set the group was given by.
     """
-    e = pair.sigma.degree
-    action = _Action(_theta(group), e)
-    s, t = pair.sigma._table[:e], pair.tau._table[:e]
-    # the generators are all the fixing elements, so their count is the order
-    count, generators = action.fixing(list(zip(action.images(s), action.images(t))), (s, t))
-    return PermGroup(generators, degree=e, order_bound=count)
+    action = _Action(_theta(group), pair.sigma.degree)
+    return action.stabilizer(pair.sigma._table, pair.tau._table)
+
+
+def _stabilizer_and_reflexive(pair, group):
+    """``stabilizer(pair, group)``, and whether the pair's dessin is
+    reflexive, its ``canonical_form`` equal to its mirror's, from one
+    ``_Action``."""
+    action = _Action(_theta(group), pair.sigma.degree)
+    other = mirror(pair)
+    reflexive = (action.least(pair.sigma._table, pair.tau._table)
+                 == action.least(other.sigma._table, other.tau._table))
+    return action.stabilizer(pair.sigma._table, pair.tau._table), reflexive
 
 
 # -- census by orbit marking -------------------------------------------------

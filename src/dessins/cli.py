@@ -24,12 +24,11 @@ from .classify import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     InternalInvariantError,
-    canonical_form,
+    _stabilizer_and_reflexive,
     classify,
-    stabilizer,
     wilson_orbit_targets,
 )
-from .dessin import NonTransitiveError, face_permutation, invariants, mirror
+from .dessin import NonTransitiveError, face_permutation, invariants
 from .graphgenus import DEFAULT_GENUS_BUDGET, GenusBudgetError, genus_histogram, genus_range
 from .io import build_document, serialize_document
 from .perm import CycleParseError, format_cycles, parse_cycles
@@ -130,8 +129,7 @@ def cmd_analyze(args, out, err):
     pair = RotationPair(sigma, tau, graph)
     inv = invariants(pair)
     group = automorphism_group(graph)
-    stab = stabilizer(pair, group)
-    reflexive = canonical_form(pair, group) == canonical_form(mirror(pair), group)
+    stab, reflexive = _stabilizer_and_reflexive(pair, group)
     fp = inv.monodromy_fingerprint
     out.write(f"sigma: {format_cycles(sigma)}\n")
     out.write(f"tau: {format_cycles(tau)}\n")

@@ -1,9 +1,13 @@
 """Permutation groups with a deterministic base and strong generating set.
 
-Internally elements are 0-based image tables stored as ``bytes`` padded to
-256 entries (``Permutation._table``), so composition is one
-``bytes.translate`` call and every product is again 256 bytes long.  Base
-points are always the smallest labels not fixed so far, which makes orders,
+Internally elements are 0-based image tables stored as ``bytes``, in two
+forms, so that composition is one ``bytes.translate`` call.  A table that
+something is translated by, a strong generator or the inverse of a
+transversal element, is padded to 256 entries (``Permutation._table``), as
+``translate`` needs.  The data translated, transversal elements, Schreier
+generators and the residues being sifted, is the ``e`` image bytes alone,
+and so is each of its products with a 256-byte table.  Base points are
+always the smallest labels not fixed so far, which makes orders,
 transversals and element streams reproducible run to run.
 
 ``PermGroup.order`` first tries to certify that the group is a giant, the
@@ -112,18 +116,54 @@ def _jordan_order(group):
 
 
 class _Level:
-    __slots__ = ("base", "gens", "orbit")
+    """One level of the chain: a base point, the strong generators fixing
+    every earlier base point, as 256-byte tables, and their basic orbit.
 
-    def __init__(self, base):
+    ``orbit`` maps each orbit point to its transversal element u, the ``e``
+    image bytes of an element sending the base point to it, and u's
+    inverse padded to 256 bytes.  An entry, once set, is kept.
+    ``points`` lists the orbit in the order it was reached, and
+    ``cursors[k]`` counts the generators ``points[k]`` has been paired
+    with; ``sifted`` holds the Schreier generators of this level that have
+    been stripped.
+    """
+
+    __slots__ = ("base", "gens", "orbit", "points", "cursors", "sifted")
+
+    def __init__(self, base, degree):
         self.base = base
-        self.gens = []    # strong generators fixing all earlier base points
-        self.orbit = {}   # point -> (u, u_inv), u maps base to point
+        self.gens = []
+        self.orbit = {base: (_IDENT256[:degree], _IDENT256)}
+        self.points = [base]
+        self.cursors = [0]
+        self.sifted = set()
+
+    def extend(self, s, degree):
+        """Add the strong generator ``s`` and extend the basic orbit in place:
+        ``s`` alone acts on the points already reached, every generator on
+        the new ones, and each new point gets its one inverse."""
+        gens = self.gens
+        gens.append(s)
+        orbit, points = self.orbit, self.points
+        old = len(points)
+        k = 0
+        while k < len(points):
+            pt = points[k]
+            u = orbit[pt][0]
+            for g in (gens if k >= old else (s,)):
+                image = g[pt]
+                if image not in orbit:
+                    v = u.translate(g)
+                    orbit[image] = (v, _invert(v, degree))
+                    points.append(image)
+            k += 1
+        self.cursors += repeat(0, len(points) - old)
 
 
 def _sift(levels, t, start=0):
-    """Strip the table ``t`` through ``levels[start:]``: the residue, and the
-    first level whose basic orbit misses its base point's image, or
-    ``len(levels)`` when ``t`` strips through them all."""
+    """Strip the ``e``-byte table ``t`` through ``levels[start:]``: the
+    residue, and the first level whose basic orbit misses its base point's
+    image, or ``len(levels)`` when ``t`` strips through them all."""
     for j in range(start, len(levels)):
         lv = levels[j]
         entry = lv.orbit.get(t[lv.base])
@@ -160,18 +200,27 @@ class PermGroup:
     are those of the full verification.  A bound that is never reached
     lets the verification run to the end, giving the true order.
 
-    The verification strips each Schreier generator at most once per level
-    until it fails, though a new strong generator makes it rescan a level
-    from its first point.  Proof that skipping the ones already stripped
-    to the identity changes nothing: whenever level i is scanned, the
-    deeper levels are a complete BSGS of H_(i+1), since the scan goes
-    bottom-up and a residue registered down to level j sends it back to
-    level j.  A Schreier generator that stripped to the identity is a
-    product of transversal elements of the deeper levels, so it lies in
-    H_(i+1), which only grows, and a later strip through a complete BSGS
-    of H_(i+1) ends at the identity again.  So the first generator that
-    fails, its residue, and with them every base point, strong generator
-    and transversal are those of the scan without the skip.
+    The verification forms the Schreier generator of each pair of a basic
+    orbit point and a strong generator of its level once.  A transversal
+    entry, once set, is kept, and a new strong generator extends its level's
+    basic orbit in place, so a pair's Schreier generator is fixed once
+    formed.  Each orbit point keeps a cursor, the number of its level's
+    strong generators it has been paired with, and a scan of the level
+    resumes at the first pair past a cursor.  Proof that a pair passed need
+    not be formed again: its Schreier generator g lies in H_(i+1) from the
+    moment it is stripped through levels i+1 and on.  Either g strips to the
+    identity, and is then a product of transversal elements of those levels,
+    or it strips to a residue r at level j, and is then r times transversal
+    elements of levels i+1 to j-1, where r joins levels i+1 to j.  H_(i+1)
+    only grows, so g stays in it.  The scan goes bottom-up, and a residue
+    registered down to level j sends it back to level j, so it moves on from
+    level i to level i-1 only when every pair of every level from i on is
+    passed.  It ends with every Schreier generator of each level in the next
+    level's group, and by Schreier's lemma each H_(i+1) is then the
+    stabilizer of base point i in H_i: the BSGS is complete.  Each level
+    also keeps the Schreier generators it has stripped, so that an equal one
+    formed from another pair, which lies in H_(i+1) as well, is not stripped
+    again.
     """
 
     def __init__(self, generators, degree=None, order_bound=None):
@@ -197,7 +246,8 @@ class PermGroup:
         if self._levels is not None:
             return
         degree = self.degree
-        ident = _IDENT256
+        ident = _IDENT256[:degree]
+        pad = _IDENT256[degree:]
         levels = []
 
         def smallest_moved(t):
@@ -206,74 +256,58 @@ class PermGroup:
                     return i
             raise AssertionError("identity cannot extend the base")
 
-        def update_orbit(level):
-            lv = levels[level]
-            lv.orbit.clear()
-            lv.orbit[lv.base] = (ident, ident)
-            queue = [lv.base]
-            qi = 0
-            while qi < len(queue):
-                pt = queue[qi]
-                qi += 1
-                u, _ = lv.orbit[pt]
-                for s in lv.gens:
-                    np = s[pt]
-                    if np not in lv.orbit:
-                        v = u.translate(s)
-                        lv.orbit[np] = (v, _invert(v, degree))
-                        queue.append(np)
+        def register(t, start, stop):
+            """The 256-byte ``t`` joins levels ``start..stop``, a new last
+            one when ``stop`` is ``len(levels)``."""
+            if stop == len(levels):
+                levels.append(_Level(smallest_moved(t), degree))
+            for lv in levels[start:stop + 1]:
+                lv.extend(t, degree)
 
-        # first occurrences, in order, by hashing the tables
-        gens0 = [t for t in dict.fromkeys(g._table for g in self.generators)
-                 if t != ident]
-        for t in gens0:
-            if all(t[lv.base] == lv.base for lv in levels):
-                levels.append(_Level(smallest_moved(t)))
-        # a generator joins every level whose base prefix it fixes
-        for t in gens0:
-            for lv in levels:
-                lv.gens.append(t)
-                if t[lv.base] != lv.base:
-                    break
-        for i in range(len(levels)):
-            update_orbit(i)
+        # first occurrences, in order, by hashing the tables; a generator
+        # joins every level whose base prefix it fixes
+        for t in dict.fromkeys(g._table for g in self.generators):
+            if t != _IDENT256:
+                register(t, 0, next(
+                    (j for j, lv in enumerate(levels) if t[lv.base] != lv.base),
+                    len(levels)))
 
         # bottom-up verification: at each level every Schreier generator must
         # strip through the (already complete) deeper levels; residues become
         # strong generators exactly at the levels they fix into.  Reaching
-        # the order bound proves the rest would add none, and a Schreier
-        # generator once stripped to the identity at a level would strip
-        # there again (class docstring), so ``proven`` skips it.
-        proven = [set() for _ in levels]
+        # the order bound proves the rest would add none, and a pair's
+        # cursor passes it once its Schreier generator is stripped (class
+        # docstring).
         order = prod(len(lv.orbit) for lv in levels)
         i = len(levels) - 1
         while i >= 0 and order != self._order_bound:
             lv = levels[i]
-            known = proven[i]
+            gens, orbit, cursors, sifted = lv.gens, lv.orbit, lv.cursors, lv.sifted
+            n = len(gens)
             registered = None
-            for pt in sorted(lv.orbit):
-                u, _ = lv.orbit[pt]
-                for s in lv.gens:
-                    _, w_inv = lv.orbit[s[pt]]
-                    sg = u.translate(s).translate(w_inv)
-                    if sg == ident or sg in known:
+            for k, pt in enumerate(lv.points):
+                c = cursors[k]
+                u = orbit[pt][0]
+                while c < n:
+                    s = gens[c]
+                    c += 1
+                    sg = u.translate(s).translate(orbit[s[pt]][1])
+                    if sg == ident or sg in sifted:
                         continue
+                    sifted.add(sg)
                     residue, j = _sift(levels, sg, i + 1)
-                    if residue == ident:
-                        known.add(sg)
-                        continue
-                    if j == len(levels):
-                        levels.append(_Level(smallest_moved(residue)))
-                        proven.append(set())
-                    for l in range(i + 1, j + 1):
-                        levels[l].gens.append(residue)
-                        update_orbit(l)
-                    order = prod(len(lv.orbit) for lv in levels)
-                    registered = j
-                    break
+                    if residue != ident:
+                        register(residue + pad, i + 1, j)
+                        registered = j
+                        break
+                cursors[k] = c
                 if registered is not None:
                     break
-            i = registered if registered is not None else i - 1
+            if registered is None:
+                i -= 1
+            else:
+                order = prod(len(lv.orbit) for lv in levels)
+                i = registered
 
         self._levels = levels
         self._order = order
@@ -296,8 +330,8 @@ class PermGroup:
         if p.degree != self.degree:
             raise ValueError(f"degree mismatch: {p.degree} != {self.degree}")
         self._build()
-        residue, _ = _sift(self._levels, p._table)
-        return residue == _IDENT256
+        residue, _ = _sift(self._levels, p._table[: self.degree])
+        return residue == _IDENT256[: self.degree]
 
     def orbit(self, point):
         """Orbit of a 1-based point under the generators, as a sorted tuple."""
@@ -338,7 +372,9 @@ class PermGroup:
                 f"group order {n} exceeds enumeration cap {DEFAULT_ELEMENTS_CAP}"
             )
         self._build()
-        transversals = [[lv.orbit[pt][0] for pt in sorted(lv.orbit)] for lv in self._levels]
+        pad = _IDENT256[self.degree:]
+        transversals = [[lv.orbit[pt][0] + pad for pt in sorted(lv.orbit)]
+                        for lv in self._levels]
 
         def rec(i, acc):
             if i < 0:

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import time
@@ -5,6 +6,7 @@ import time
 import pytest
 
 from dessins.cli import main
+from dessins.perm import format_cycles
 
 from conftest import complete_bipartite_text, fixture_path, run_capped, star_text
 
@@ -245,6 +247,31 @@ def test_analyze_single_edge(tmp_path):
     values = kv(out)
     assert values["genus"] == "0"
     assert values["face_count"] == "1"
+
+
+def test_analyze_builds_the_action_once(monkeypatch, c33_report):
+    # one _Action answers the stabilizer and both least conjugates
+    classify_module = importlib.import_module("dessins.classify")
+    built = []
+    real = classify_module._Action
+
+    def counted(group, e):
+        built.append(e)
+        return real(group, e)
+
+    monkeypatch.setattr(classify_module, "_Action", counted)
+    assert {rec.mirror_status for rec in c33_report.records} == {"reflexive", "chiral"}
+    for rec in c33_report.records:
+        built.clear()
+        code, out, _ = run([
+            "analyze", fixture_path("c33.bg"),
+            "--sigma", format_cycles(rec.representative.sigma),
+            "--tau", format_cycles(rec.representative.tau),
+        ])
+        assert code == 0 and built == [9]
+        values = kv(out)
+        assert values["mirror"] == rec.mirror_status
+        assert values["aut_order"] == str(rec.aut_order)
 
 
 def test_analyze_rejects_foreign_pair():

@@ -474,7 +474,7 @@ def test_order_bound_keeps_the_chain_of_every_theta(name):
     assert bounded.order() == free.order() == group.group_order
     assert chain(bounded) == chain(free) == chain(group.theta)
     assert list(bounded.elements()) == list(free.elements())
-    assert_chain_of_reference(free)
+    assert_complete_chain(free)
 
 
 def test_order_bound_keeps_the_chain_of_stabilizers(dp_report):
@@ -487,7 +487,7 @@ def test_order_bound_keeps_the_chain_of_stabilizers(dp_report):
         assert bounded.order() == free.order() == rec.aut_order
         assert chain(bounded) == chain(free)
         assert list(bounded.elements()) == list(free.elements())
-        assert_chain_of_reference(free)
+        assert_complete_chain(free)
 
 
 def test_order_bound_keeps_the_chain_of_random_groups():
@@ -525,12 +525,22 @@ def test_order_bound_below_the_giants_skips_the_certificate(monkeypatch):
             PermGroup(dihedral, order_bound=bound).order()
 
 
-# -- the verification without the memo of proven Schreier generators -----------
+# -- completeness of the chain, against an independent reference -------------
 
-def reference_group(gens, degree):
-    """The group with the levels of the verification that strips every
-    Schreier generator again on each scan of its level, as ``_build`` did
-    before it skipped the ones proven; the reference for its chains."""
+class ReferenceLevel:
+    __slots__ = ("base", "gens", "orbit")
+
+    def __init__(self, base):
+        self.base = base
+        self.gens = []    # 256-byte strong generators
+        self.orbit = {}   # point -> 256-byte transversal element
+
+
+def reference_levels(gens, degree):
+    """The levels of a plain Schreier-Sims: every basic orbit rebuilt from
+    scratch after each new strong generator, and every level rescanned from
+    its first point after each registered residue; the reference for orders
+    and element sets."""
     ident = _IDENT256
     iprefix = ident[:degree]
     levels = []
@@ -541,84 +551,107 @@ def reference_group(gens, degree):
     def smallest_moved(t):
         return next(i for i in range(degree) if t[i] != i)
 
-    def update_orbit(level):
-        lv = levels[level]
-        lv.orbit.clear()
-        lv.orbit[lv.base] = (ident, ident)
+    def update_orbit(lv):
+        lv.orbit = {lv.base: ident}
         queue = [lv.base]
-        qi = 0
-        while qi < len(queue):
-            pt = queue[qi]
-            qi += 1
-            u, _ = lv.orbit[pt]
+        for pt in queue:
             for s in lv.gens:
-                np = s[pt]
-                if np not in lv.orbit:
-                    v = u.translate(s)
-                    lv.orbit[np] = (v, _invert(v, degree))
-                    queue.append(np)
+                if s[pt] not in lv.orbit:
+                    lv.orbit[s[pt]] = lv.orbit[pt].translate(s)
+                    queue.append(s[pt])
 
     def strip(t, start):
         for j in range(start, len(levels)):
             lv = levels[j]
-            entry = lv.orbit.get(t[lv.base])
-            if entry is None:
+            u = lv.orbit.get(t[lv.base])
+            if u is None:
                 return t, j
-            t = t.translate(entry[1])
+            t = t.translate(_invert(u, degree))
         return t, len(levels)
 
     gens0 = [t for t in dict.fromkeys(g._table for g in gens) if not is_ident(t)]
     for t in gens0:
         if all(t[lv.base] == lv.base for lv in levels):
-            levels.append(permgroup_module._Level(smallest_moved(t)))
+            levels.append(ReferenceLevel(smallest_moved(t)))
     for t in gens0:
         for lv in levels:
             lv.gens.append(t)
             if t[lv.base] != lv.base:
                 break
-    for i in range(len(levels)):
-        update_orbit(i)
+    for lv in levels:
+        update_orbit(lv)
 
     i = len(levels) - 1
     while i >= 0:
         lv = levels[i]
         registered = None
-        for pt in sorted(lv.orbit):
-            u, _ = lv.orbit[pt]
+        for pt, u in sorted(lv.orbit.items()):
             for s in lv.gens:
-                _, w_inv = lv.orbit[s[pt]]
-                sg = u.translate(s).translate(w_inv)
-                if is_ident(sg):
-                    continue
+                sg = u.translate(s).translate(_invert(lv.orbit[s[pt]], degree))
                 residue, j = strip(sg, i + 1)
                 if is_ident(residue):
                     continue
                 if j == len(levels):
-                    levels.append(permgroup_module._Level(smallest_moved(residue)))
-                for l in range(i + 1, j + 1):
-                    levels[l].gens.append(residue)
-                    update_orbit(l)
+                    levels.append(ReferenceLevel(smallest_moved(residue)))
+                for deeper in levels[i + 1:j + 1]:
+                    deeper.gens.append(residue)
+                    update_orbit(deeper)
                 registered = j
                 break
             if registered is not None:
                 break
         i = registered if registered is not None else i - 1
-    group = PermGroup(gens, degree=degree)
-    group._levels, group._order = levels, prod(len(lv.orbit) for lv in levels)
-    return group
+    return levels
 
 
-# groups up to this order also compare their element streams
+def reference_elements(levels):
+    """Every product of one transversal element per level, the deepest
+    level's applied first."""
+    products = {_IDENT256}
+    for lv in reversed(levels):
+        products = {t.translate(u) for t in products for u in lv.orbit.values()}
+    return products
+
+
+# groups up to this order also compare their element sets
 LISTED_ORDER = 10**4
 
 
-def assert_chain_of_reference(group):
-    """``group``'s chain, order and elements equal the reference's."""
-    reference = reference_group(group.generators, group.degree)
-    assert chain(group) == chain(reference)
-    assert group._order == reference._order
-    if reference._order <= LISTED_ORDER:
-        assert list(group.elements()) == list(reference.elements())
+def assert_complete_chain(group):
+    """``group``'s chain is a complete BSGS in the two byte forms, with the
+    reference's order, sympy's order and, up to ``LISTED_ORDER``, the
+    reference's elements."""
+    e = group.degree
+    ident = _IDENT256[:e]
+    levels = chain(group)
+
+    def strip(t, start):
+        for base, _, orbit in levels[start:]:
+            if t[base] not in orbit:
+                return t
+            t = t.translate(orbit[t[base]][1])
+        return t
+
+    for i, (base, gens, orbit) in enumerate(levels):
+        earlier = [b for b, _, _ in levels[:i]]
+        for s in gens:
+            assert len(s) == 256 and s[e:] == _IDENT256[e:]
+            assert all(s[b] == b for b in earlier)
+        for pt, (u, u_inv) in orbit.items():
+            assert len(u) == e and u[base] == pt
+            assert u_inv == _invert(u, e)
+        for pt, (u, _) in orbit.items():
+            for s in gens:
+                assert strip(u.translate(s).translate(orbit[s[pt]][1]), i + 1) == ident
+    for g in group.generators:
+        assert strip(g._table[:e], 0) == ident
+    reference = reference_levels(group.generators, e)
+    order = prod(len(lv.orbit) for lv in reference)
+    assert group.order() == group._order == order == sympy_order(group.generators)
+    if order <= LISTED_ORDER:
+        tables = [t[:e] for t in group._tables()]
+        assert len(tables) == order
+        assert set(tables) == {t[:e] for t in reference_elements(reference)}
 
 
 def check_monodromy_chains(records):
@@ -626,7 +659,7 @@ def check_monodromy_chains(records):
         pair = rec.representative
         gens, e = [pair.sigma, pair.tau], pair.sigma.degree
         free = PermGroup(gens)
-        assert_chain_of_reference(free)
+        assert_complete_chain(free)
         if is_dualizable(pair):
             bounded = PermGroup(gens, order_bound=2 * factorial(e // 2) ** 2)
             assert chain(bounded) == chain(free)
@@ -634,20 +667,61 @@ def check_monodromy_chains(records):
             assert free.order() == rec.invariants.monodromy_order
 
 
-def test_monodromy_chains_equal_the_reference(a4_report, k33_report, k5_report):
+def test_monodromy_chains_are_complete(a4_report, k33_report, k5_report):
     for report in (a4_report, k33_report, k5_report):
         check_monodromy_chains(report.records)
 
 
-def test_monodromy_chains_equal_the_reference_on_samples(dp_report, frucht_light_report):
+def test_monodromy_chains_are_complete_on_samples(dp_report, frucht_light_report):
     rng = random.Random(19)
     check_monodromy_chains(rng.sample(dp_report.records, 40))
     check_monodromy_chains(rng.sample(frucht_light_report.records, 6))
 
 
-def test_random_group_chains_equal_the_reference():
+def test_random_group_chains_are_complete():
     rng = random.Random(67)
     for _ in range(300):
         n = rng.randint(1, 10)
         gens = [random_permutation(n, rng) for _ in range(rng.randint(1, 3))]
-        assert_chain_of_reference(PermGroup(gens))
+        assert_complete_chain(PermGroup(gens))
+
+
+# -- the work of one build ------------------------------------------------------
+
+def counted_calls(monkeypatch):
+    """Wrap ``permgroup._invert`` and ``permgroup._sift``; the dict that
+    counts their calls."""
+    calls = {"_invert": 0, "_sift": 0}
+    for name in calls:
+        def wrapper(*args, name=name, real=getattr(permgroup_module, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(permgroup_module, name, wrapper)
+    return calls
+
+
+def assert_work_bound(gens, calls):
+    """One build inverts each transversal element once and strips each
+    (orbit point, strong generator) pair's Schreier generator at most once."""
+    calls.update(_invert=0, _sift=0)
+    g = PermGroup(gens)
+    g._build()
+    levels = g._levels
+    assert calls["_invert"] == sum(len(lv.orbit) - 1 for lv in levels)
+    assert calls["_sift"] <= sum(len(lv.orbit) * len(lv.gens) for lv in levels)
+
+
+def test_work_bound_on_monodromy_groups(k5_report, monkeypatch):
+    calls = counted_calls(monkeypatch)
+    for rec in k5_report.records:
+        assert_work_bound([rec.representative.sigma, rec.representative.tau], calls)
+
+
+def test_work_bound_on_random_groups(monkeypatch):
+    calls = counted_calls(monkeypatch)
+    rng = random.Random(71)
+    for _ in range(300):
+        n = rng.randint(1, 16)
+        gens = [random_permutation(n, rng) for _ in range(rng.randint(1, 3))]
+        assert_work_bound(gens, calls)
