@@ -298,7 +298,7 @@ class EdgeActionGroup:
     generators, in the order found, then by a swap and a cycle of each
     parallel class, classes sorted by labels.  That order reaches the
     output only through ``autgroup``, which prints the generators:
-    stabilizers are listed by table (``classify._Action``).
+    stabilizers are listed by table (``classify._Action.fixing``).
     ``group_order`` is the group order counted on the vertex side (vertex
     automorphisms times parallel-class permutations), asserted equal to
     ``theta.order()``.

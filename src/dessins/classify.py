@@ -86,14 +86,11 @@ class _Action:
     """Conjugation g^-1 t g of label tables by every element g of a group.
 
     Each element is kept once, as the pair of the ``e`` image bytes of its
-    inverse and its own 256-byte table, from ``PermGroup._tables``, so one
-    conjugate is ``ginv.translate(t).translate(g)`` and is ``e`` bytes
-    long.  The elements are listed in increasing order of their tables,
-    whatever order the group lists them in, so each result that follows
-    element order depends on the group alone, not on its generating set.
-    The identity comes first: any other table first differs from it at
-    some i, where it holds an image above i, the labels below i being
-    taken.
+    inverse and its own 256-byte table, in ``PermGroup._tables`` order, so
+    one conjugate is ``ginv.translate(t).translate(g)`` and is ``e`` bytes
+    long.  That order starts with the identity, but it depends on the
+    generating set, so no output may follow it: ``least`` takes minima,
+    and ``fixing`` sorts what it keeps.
     """
 
     __slots__ = ("e", "pad", "elems")
@@ -103,7 +100,7 @@ class _Action:
             raise ValueError(f"degree mismatch: {e} != {group.degree}")
         self.e = e
         self.pad = _IDENT256[e:]
-        self.elems = [(_invert(g, e)[:e], g) for g in sorted(group._tables())]
+        self.elems = [(_invert(g, e)[:e], g) for g in group._tables()]
 
     def images(self, t):
         """The conjugates of one table (of at least ``e`` bytes), in element order."""
@@ -128,14 +125,17 @@ class _Action:
         identity.
 
         Returns its order and its elements other than the identity, as
-        permutations in increasing order of their tables.
+        permutations in increasing order of their tables, so they depend on
+        the group alone, not on its generating set.  The identity is the
+        least table: any other table first differs from it at some i, where
+        it holds an image above i, the labels below i being taken.
         """
-        tables = [g for (_, g), image in zip(self.elems, images) if image == key]
+        tables = sorted(g for (_, g), image in zip(self.elems, images) if image == key)
         return len(tables), tuple(Permutation._from_table(g, self.e) for g in tables[1:])
 
     def stabilizer(self, s, t):
         """The elements fixing the pair of tables (s, t), as a group whose
-        generators are all of them but the identity, in element order."""
+        generators are all of them but the identity, by table (``fixing``)."""
         e = self.e
         s, t = s[:e], t[:e]
         # the generators are all the fixing elements, so their count is the order
@@ -165,8 +165,8 @@ def stabilizer(pair, group):
     """Elements of the edge-action group fixing the pair, as a group.
 
     Its generators are all of those elements but the identity, in
-    increasing order of their tables (``_Action``), whatever generating
-    set the group was given by.
+    increasing order of their tables (``_Action.fixing``), whatever
+    generating set the group was given by.
     """
     action = _Action(_theta(group), pair.sigma.degree)
     return action.stabilizer(pair.sigma._table, pair.tau._table)

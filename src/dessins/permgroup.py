@@ -8,7 +8,7 @@ transversal element, is padded to 256 entries (``Permutation._table``), as
 generators and the residues being sifted, is the ``e`` image bytes alone,
 and so is each of its products with a 256-byte table.  Base points are
 always the smallest labels not fixed so far, which makes orders,
-transversals and element streams reproducible run to run.
+transversals and the order of the element list reproducible run to run.
 
 ``PermGroup.order`` first tries to certify that the group is a giant, the
 alternating or symmetric group on all points: a transitive group of degree
@@ -196,7 +196,8 @@ class PermGroup:
     H_i contains it, so |H_i| >= |Delta_i| |G^(i+1)| = |G^(i)| and H_i =
     G^(i).  Every remaining
     Schreier generator then sifts to the identity and would add no strong
-    generator, so the base, the transversals and the ``elements`` order
+    generator, so the base, the transversals and the order in which the
+    basic orbit points were reached, which fixes the ``elements`` order,
     are those of the full verification.  A bound that is never reached
     lets the verification run to the end, giving the true order.
 
@@ -362,9 +363,12 @@ class PermGroup:
         than ``DEFAULT_ELEMENTS_CAP`` at the first ``next``.
 
         Each table is the product of one transversal element per level,
-        from the deepest level to the first.  The tables are listed by the
-        basic orbit points of those elements, in increasing order, the
-        deepest level's first, so siblings share the product of a prefix.
+        from the deepest level to the first, and is listed level by level:
+        the products over the deeper levels, each times every transversal
+        element of the next level up, in the order the build reached their
+        basic orbit points (``_Level.points``).  That order starts at the
+        base point, whose transversal element is the identity, so the
+        identity comes first.
         """
         n = self.order()
         if n > DEFAULT_ELEMENTS_CAP:
@@ -373,21 +377,16 @@ class PermGroup:
             )
         self._build()
         pad = _IDENT256[self.degree:]
-        transversals = [[lv.orbit[pt][0] + pad for pt in sorted(lv.orbit)]
-                        for lv in self._levels]
-
-        def rec(i, acc):
-            if i < 0:
-                yield acc
-                return
-            for u in transversals[i]:
-                yield from rec(i - 1, acc.translate(u))
-
-        yield from rec(len(transversals) - 1, _IDENT256)
+        tables = [_IDENT256]
+        for lv in reversed(self._levels):
+            us = [lv.orbit[pt][0] + pad for pt in lv.points]
+            tables = [acc.translate(u) for acc in tables for u in us]
+        yield from tables
 
     def elements(self):
         """Every element exactly once, as a ``Permutation``, in ``_tables``
-        order; refuses more than ``DEFAULT_ELEMENTS_CAP`` at the first ``next``."""
+        order, the identity first; refuses more than ``DEFAULT_ELEMENTS_CAP``
+        at the first ``next``."""
         return map(Permutation._from_table, self._tables(), repeat(self.degree))
 
     def all_generators_even(self):

@@ -18,6 +18,7 @@ from dessins import (
     enumerate_pairs,
     format_cycles,
     group_from_generators,
+    identity,
     invariants,
     local_rotations,
     mirror,
@@ -34,7 +35,7 @@ from dessins.cli import main
 from dessins.rotation import RotationPair, _Radix, membership_failure
 
 import corpus
-from conftest import fixture_path, load_bipartite, record_for, run_capped, star_text
+from conftest import EVERY_BG_REPORT, fixture_path, load_bipartite, record_for, run_capped, star_text
 
 
 def P(s, n):
@@ -389,6 +390,54 @@ def test_stabilizer_elements_are_listed_by_table(name):
         ], out=out, err=io.StringIO()) == 0
         line = "aut_generators: " + "; ".join(map(format_cycles, rec.aut_generators))
         assert line in out.getvalue().splitlines()
+
+
+def commuting_permutations(pair):
+    """The permutations c commuting with sigma and tau, one per label x:
+    c(0) = x, extended by c(sigma(i)) = sigma(c(i)) and c(tau(i)) =
+    tau(c(i)), kept when that is consistent and bijective.  sigma and tau
+    generate a transitive group, so c(0) decides c."""
+    e = pair.sigma.degree
+    generators = (pair.sigma._table[:e], pair.tau._table[:e])
+    found = []
+    for x in range(e):
+        c = {0: x}
+        queue = [0]
+        consistent = True
+        for i in queue:
+            for p in generators:
+                j, image = p[i], p[c[i]]
+                if j not in c:
+                    c[j] = image
+                    queue.append(j)
+                elif c[j] != image:
+                    consistent = False
+        if consistent and len(c) == e and len(set(c.values())) == e:
+            found.append(Permutation([c[i] + 1 for i in range(e)]))
+    return found
+
+
+@pytest.mark.parametrize("name", [
+    *EVERY_BG_REPORT, "bundle6", "k44", "star6", "dp_drawing_report",
+])
+def test_every_stabilizer_is_the_centralizer_within_the_group(name, request):
+    # the stabilizer of a pair is the centralizer of <sigma, tau>
+    # intersected with G, found here without listing G
+    if name.endswith("_report"):
+        report = request.getfixturevalue(name).report
+    else:
+        report = classify(load_bipartite(name + ".bg"), with_monodromy=False)
+    e = report.graph.e
+    outside = 0
+    for rec in report.records:
+        commuting = commuting_permutations(rec.representative)
+        inside = {c for c in commuting if report.theta.contains(c)}
+        outside += len(commuting) - len(inside)
+        assert inside == {identity(e), *rec.aut_generators}
+        assert len(inside) == rec.aut_order
+    if name == "dp_drawing_report":
+        # the order-8 subgroup misses some of the full group's automorphisms
+        assert outside > 0
 
 
 def test_census_pool_bounded_by_cores_and_chunks(monkeypatch, inline_pool):

@@ -14,6 +14,7 @@ from dessins import (
     identity,
     parse_cycles,
 )
+from dessins.classify import _Action
 from dessins.dessin import is_dualizable
 from dessins.perm import MAX_DEGREE, Permutation, _IDENT256, _invert, random_permutation
 from dessins.permgroup import (
@@ -166,6 +167,29 @@ def test_tables_stream_the_tables_of_elements_in_order():
     with pytest.raises(CapExceededError,
                        match="^group order 3628800 exceeds enumeration cap 1000000$"):
         next(tables)
+
+
+def assert_listed_from_the_identity(group):
+    """``_tables`` lists the identity first and each element once, and
+    ``_Action`` keeps that order."""
+    tables = list(group._tables())
+    assert tables[0] == _IDENT256
+    assert len(set(tables)) == len(tables) == group.order()
+    assert [g for _, g in _Action(group, group.degree).elems] == tables
+
+
+def test_tables_list_the_identity_first_and_each_element_once():
+    # the base point 3 is not the least point of its basic orbit {1, 3, 4}
+    group = PermGroup([P("(3,4)", 4), P("(1,3)", 4)])
+    assert group.base()[0] == 3 and group.orbit(3) == (1, 3, 4)
+    assert_listed_from_the_identity(group)
+    for name in sorted(f for f in os.listdir(FIXTURES) if f.endswith(".bg")):
+        assert_listed_from_the_identity(automorphism_group(load_bipartite(name)).theta)
+    rng = random.Random(73)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        gens = [random_permutation(n, rng) for _ in range(rng.randint(1, 3))]
+        assert_listed_from_the_identity(PermGroup(gens))
 
 
 def test_elements_refuses_a_non_giant_above_the_cap_before_the_first_element():
