@@ -19,20 +19,27 @@ per orbit, orbits * |G| conjugate ranks at one dict lookup per rank group
 tau only where sigma's is least.
 
 The invariants are computed once per mirror class, on the orbit of the
-lesser representative, and shared with a chiral partner: a dessin and its
-mirror have the same invariants (proof at ``_orbit_invariants``).  When the
-monodromy groups are wanted, their Schreier-Sims builds dominate, so those
-calls run in a fork pool, one contiguous chunk of the mirror classes per
-worker; output never depends on the worker count.
+lesser representative, and shared with a chiral partner.  A dessin and its
+mirror (sigma^-1, tau^-1) have equal invariants, field by field:
+
+- the monodromy group <sigma^-1, tau^-1> is <sigma, tau> itself, so the
+  order, the fingerprint and ``regular`` agree;
+- sigma^-1 and tau^-1 have the cycles of sigma and tau, so the black and
+  white degrees agree;
+- the mirror's face permutation, tau^-1 then sigma^-1, is the inverse
+  of sigma then tau, which sigma conjugates to the face permutation,
+  tau then sigma; so the face cycle types agree, and with them the face
+  count, the genus and ``uniform``;
+- ``is_dualizable`` reads the graph on labels with edges {i, sigma(i)}
+  and {i, tau(i)}, which is the mirror's graph too, so ``dualizable``
+  agrees.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import compress, repeat
-from math import ceil
 from operator import add
 
 from .bgraph import BipartiteGraph, EdgeActionGroup, automorphism_group
@@ -306,59 +313,6 @@ def _orbit_census(radix, action):
     return census, mirrors
 
 
-def _invariants_worker(pair, with_monodromy, passport):
-    return invariants(pair, with_monodromy, passport=passport)
-
-
-def _orbit_invariants(pairs, partners, threads, with_monodromy, passport):
-    """invariants() of each pair of the family with this graph passport, in order.
-
-    ``partners[i]`` is the index of the orbit of pair i's mirror
-    (sigma^-1, tau^-1), i itself for a reflexive orbit.  One call serves
-    each mirror class: it is made on the lesser index and shared with the
-    partner.  A dessin and its mirror have equal invariants, field by field:
-
-    - the monodromy group <sigma^-1, tau^-1> is <sigma, tau> itself, so the
-      order, the fingerprint and ``regular`` agree;
-    - sigma^-1 and tau^-1 have the cycles of sigma and tau, so the black and
-      white degrees agree;
-    - the mirror's face permutation, tau^-1 then sigma^-1, is the inverse
-      of sigma then tau, which sigma conjugates to the face permutation,
-      tau then sigma; so the face cycle types agree, and with them the face
-      count, the genus and ``uniform``;
-    - ``is_dualizable`` reads the graph on labels with edges {i, sigma(i)}
-      and {i, tau(i)}, which is the mirror's graph too, so ``dualizable``
-      agrees.
-
-    Only the monodromy groups cost enough to pay for forking; the workers
-    are bounded by the cores and the mirror classes, so a large ``threads``
-    forks no more than can run.  ``Pool.map`` cuts the mirror classes into
-    one contiguous chunk per worker and returns the results in order, and
-    ``multiprocessing`` is imported only when a pool forks.
-    """
-    firsts = [i for i, partner in enumerate(partners) if i <= partner]
-    todo = [pairs[i] for i in firsts]
-    cores = os.cpu_count() or 1
-    workers = min(threads or cores, cores, len(todo))
-    # the worker looks ``invariants`` up when called, so a rebound one is used
-    work = partial(_invariants_worker, with_monodromy=with_monodromy, passport=passport)
-    if not with_monodromy or workers <= 1:
-        invs = map(work, todo)
-    else:
-        import multiprocessing
-
-        # rounding the chunks up can leave workers without one: fork only
-        # as many as there are chunks
-        chunksize = ceil(len(todo) / workers)
-        processes = ceil(len(todo) / chunksize)
-        with multiprocessing.get_context("fork").Pool(processes) as pool:
-            invs = pool.map(work, todo, chunksize=chunksize)
-    shared = [None] * len(pairs)
-    for i, inv in zip(firsts, invs):
-        shared[i] = shared[partners[i]] = inv
-    return shared
-
-
 def classify(
     graph,
     *,
@@ -374,13 +328,14 @@ def classify(
     default is the full color-preserving automorphism group.  Oversized
     enumerations are refused up front; ``BipartiteGraph`` already refused
     more than 256 labels.  ``with_monodromy=False`` leaves the
-    monodromy fields of every record None and skips the Schreier-Sims
-    builds of the monodromy groups that are not certified giants.
-    ``threads`` bounds the worker processes of the monodromy groups; 0
-    means all cores, and a negative count raises ``ValueError``.
+    monodromy fields of every record None and builds no monodromy group,
+    so no giant is certified either.  ``threads`` is accepted for callers
+    that pass a thread count, but everything runs in this process, so it
+    changes neither the work nor the report; a negative count raises
+    ``ValueError``.
     """
     if threads < 0:
-        raise ValueError(f"threads {threads} is negative; 0 means all cores")
+        raise ValueError(f"threads {threads} is negative")
     total = graph.candidate_count()
     if total > budget:
         raise BudgetExceededError(total, budget)
@@ -394,28 +349,29 @@ def classify(
     census, mirrors = _orbit_census(_Radix(graph), action)
 
     key_to_orbit = {key: i for i, key in enumerate(sorted(census))}
-    pairs = [_pair_from_tables(*key, graph) for key in key_to_orbit]
-    partners = []
+    passport = graph.passport()
+    records = []
+    genus_histogram = {}
+    dualizable_histogram = {}
     for key, orbit_id in key_to_orbit.items():
         partner = key_to_orbit.get(mirrors[key])
         if partner is None:
             raise InternalInvariantError(
                 f"mirror of orbit {orbit_id} left the family"
             )
-        partners.append(partner)
-    invs = _orbit_invariants(pairs, partners, threads, with_monodromy, graph.passport())
-    records = []
-    genus_histogram = {}
-    dualizable_histogram = {}
-    for (key, orbit_id), pair, inv, partner in zip(
-        key_to_orbit.items(), pairs, invs, partners
-    ):
+        pair = _pair_from_tables(*key, graph)
         orbit_length, aut_order, generators = census.pop(key)
         if orbit_length * aut_order != group_order:
             raise InternalInvariantError(
                 f"orbit-stabilizer mismatch at orbit {orbit_id}: "
                 f"{orbit_length} * {aut_order} != {group_order}"
             )
+        # one call per mirror class, shared with the partner; ``invariants``
+        # is looked up here, so a rebound one is used
+        if partner < orbit_id:
+            inv = records[partner].invariants
+        else:
+            inv = invariants(pair, with_monodromy, passport=passport)
         if duality_oracle:
             oracle = dualizable_oracle(pair)
             if oracle != inv.dualizable:

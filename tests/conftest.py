@@ -100,33 +100,6 @@ def run_capped(code, cpu_seconds=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-@pytest.fixture
-def inline_pool(monkeypatch):
-    """Replace the fork pool with one that runs its jobs inline: nothing
-    forks.  Returns the list of ``(processes, chunksize)`` of every pool
-    mapped, in order."""
-    import multiprocessing
-
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, processes):
-            self.processes = processes
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize):
-            sizes.append((self.processes, chunksize))
-            return [fn(job) for job in jobs]
-
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InlinePool)
-    return sizes
-
-
 class TimedReport:
     def __init__(self, report, seconds):
         self.report = report

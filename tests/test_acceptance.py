@@ -356,7 +356,7 @@ def test_criterion_8_property_suite(a4_report, k33_report, d33_report,
                     checked += 1
         assert checked >= 10
 
-        # worker count does not leak into the bytes of a report
+        # thread count does not leak into the bytes of a report
         graph = load_bipartite("k33_clean.bg")
         solo = serialize_report(classify(graph, threads=1), "json")
         multi = serialize_report(classify(graph, threads=4), "json")

@@ -27,8 +27,8 @@ def test_output_bytes_match_pinned_digest(name, run):
     if name.startswith(("classify ", "library "))
 ])
 def test_output_bytes_match_pinned_digest_at_two_threads(name, run):
-    # only these cases take a thread count; the CLI's classify runs, which
-    # compute monodromy groups, fork a pool on a host of two or more cores
+    # only these cases take a thread count, which the output must not
+    # depend on
     assert byte_gate.digest(run) == PINNED[name]
 
 

@@ -333,7 +333,7 @@ def test_reports_identical_across_thread_counts():
         solo = serialize_report(classify(graph, threads=1), "json")
         multi = serialize_report(classify(graph, threads=3), "json")
         assert solo == multi
-    # 1042 orbits, whose monodromy phase is split between two workers
+    # 1042 orbits with monodromy groups
     graph = load_bipartite("double_prism.bg")
     solo = serialize_report(classify(graph, threads=1), "json")
     assert serialize_report(classify(graph, threads=2), "json") == solo
@@ -440,50 +440,47 @@ def test_every_stabilizer_is_the_centralizer_within_the_group(name, request):
         assert outside > 0
 
 
-def test_census_pool_bounded_by_cores_and_chunks(monkeypatch, inline_pool):
+def test_reports_identical_for_any_thread_count_and_core_count(monkeypatch):
     import os
 
-    sizes = inline_pool
     graph = load_bipartite("a4_clean.bg")
-    # 16 candidate pairs, each its own orbit; invariants are computed once
-    # per mirror class, so there are at most that many monodromy workers
+    # 16 candidate pairs, each its own orbit, in 8 mirror classes
     trivial = PermGroup([], degree=graph.e)
-    report = classify(graph, threads=1, group=trivial)
-    solo = serialize_report(report, "json")
-    classes = sum(rec.mirror_partner is None or rec.orbit_id < rec.mirror_partner
-                  for rec in report.records)
-    assert (len(report.records), classes) == (16, 8)
-    # 6 threads on 8 classes take chunks of 2, so only 4 workers fork;
-    # 0 threads means all cores
-    for cores, threads, expected in ((8, 50000, [(8, 1)]), (64, 50000, [(classes, 1)]),
-                                     (8, 3, [(3, 3)]), (8, 6, [(4, 2)]),
-                                     (None, 50000, []), (1, 4, []),
-                                     (8, 0, [(8, 1)]), (3, 0, [(3, 3)]), (None, 0, [])):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        sizes.clear()
-        report = classify(graph, threads=threads, group=trivial)
-        assert serialize_report(report, "json") == solo
-        assert sizes == expected
-    # without monodromy groups nothing is worth a fork
-    for cores in (8, 64):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        for threads in (2, 3, 50000):
-            sizes.clear()
-            classify(graph, threads=threads, group=trivial, with_monodromy=False)
-            assert sizes == []
+    for with_monodromy in (True, False):
+        solo = serialize_report(classify(graph, threads=1, group=trivial,
+                                         with_monodromy=with_monodromy), "json")
+        for cores in (1, 8, 64, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            for threads in (0, 1, 2, 3, 50000):
+                report = classify(graph, threads=threads, group=trivial,
+                                  with_monodromy=with_monodromy)
+                assert len(report.records) == 16
+                assert serialize_report(report, "json") == solo
     for threads in (-1, -50000):
-        with pytest.raises(ValueError, match=f"^threads {threads} is negative; 0 means all cores$"):
+        with pytest.raises(ValueError, match=f"^threads {threads} is negative$"):
             classify(graph, threads=threads, group=trivial)
-    assert sizes == []
 
 
 def test_import_loads_no_process_pool():
-    # only a forking pool needs multiprocessing; importing the package,
-    # its command line among it, leaves it unloaded
+    # importing the package, its command line among it, leaves
+    # multiprocessing unloaded, and a classify run with monodromy groups
+    # at --threads 0 on a host of four cores forks nothing
     code, out, err = run_capped(
         "import sys\nimport dessins.cli\nprint('multiprocessing' in sys.modules)\n"
     )
     assert (code, out, err) == (0, "False\n", "")
+    code, out, err = run_capped(
+        "import io, os, sys\n"
+        "import dessins.cli\n"
+        "def refuse():\n"
+        "    raise AssertionError('forked')\n"
+        "os.cpu_count = lambda: 4\n"
+        "os.fork = refuse\n"
+        f"code = dessins.cli.main(['classify', {fixture_path('k33.bg')!r}, '--emit', 'json',\n"
+        "                          '--threads', '0'], out=io.StringIO(), err=io.StringIO())\n"
+        "print(code, 'multiprocessing' in sys.modules)\n"
+    )
+    assert (code, out, err) == (0, "0 False\n", "")
 
 
 def _assert_chiral_invariants_hold_on_own_pair(report):

@@ -292,7 +292,7 @@ def test_bundle4_records_agree_with_the_public_invariants():
 @settings(seeded, max_examples=12)
 @given(small_graphs())
 def test_reports_identical_at_two_threads(graph):
-    # with monodromy, two or more orbits go to the fork pool, passport and all
+    # with monodromy groups and at least two orbits
     assume(graph.candidate_count() * automorphism_group(graph).group_order <= MAX_WORK)
     solo = classify(graph, threads=1)
     assume(len(solo.records) >= 2)
