@@ -50,6 +50,25 @@ def test_classify_refuses_a_negative_thread_count():
     assert (code, out, err) == (2, "", "error: --threads -2 is negative\n")
 
 
+def test_classify_threads_passed_through(monkeypatch):
+    # the library owns the thread count; the command line hands it on as given
+    import dessins.cli
+
+    seen = []
+    real = dessins.cli.classify
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["threads"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dessins.cli, "classify", recording)
+    for threads in ("0", "2", "1"):
+        code, _, err = run(["classify", fixture_path("k33.bg"), "--emit", "json",
+                            "--threads", threads])
+        assert (code, err) == (0, "")
+    assert seen == [0, 2, 1]
+
+
 def test_classify_any_thread_count_gives_the_same_bytes():
     outs = []
     for threads in ("0", "1", "2"):
